@@ -152,14 +152,17 @@ def _load_params(args) -> ModelParams:
     return parse_params(Path(args.params).read_text())
 
 
-def _sequences_for(dump_ids, dumps_dir, cmap, stop_list):
-    sequences = {}
+def _load_dumps(dump_ids, dumps_dir, cmap, stop_list):
+    """Parse each dump once; returns the component sequences and, for the
+    baselines, the cleaned backtrace names without stop-word filtering."""
+    sequences, names = {}, {}
     for dump_id in sorted(dump_ids):
         text = (Path(dumps_dir) / f"{dump_id}.dump").read_text()
         dump = parse_dump(text, dump_id)
         frames = filter_stop_words(dump.backtrace_frames, stop_list)
         sequences[dump_id] = to_component_sequence(frames, cmap, dump_id=dump_id)
-    return sequences
+        names[dump_id] = [f.function_name for f in dump.backtrace_frames]
+    return sequences, names
 
 
 def _cmd_mine(args) -> int:
@@ -200,7 +203,7 @@ def _cmd_train(args) -> int:
     cmap = _load_map(args)
     stop_list = _load_stoplist(args)
     ids = {p.dump_id_a for p in pairs} | {p.dump_id_b for p in pairs}
-    sequences = _sequences_for(ids, args.dumps, cmap, stop_list)
+    sequences, _ = _load_dumps(ids, args.dumps, cmap, stop_list)
     result = tune_parameters(pairs, sequences)
     Path(args.params_out).write_text(format_params(result.params))
     Path(args.grid_out).write_text(format_grid_report(result))
@@ -217,15 +220,9 @@ def _cmd_evaluate(args) -> int:
     stop_list = _load_stoplist(args)
     params = _load_params(args)
     ids = {p.dump_id_a for p in pairs} | {p.dump_id_b for p in pairs}
-    sequences = _sequences_for(ids, args.dumps, cmap, stop_list)
+    sequences, names = _load_dumps(ids, args.dumps, cmap, stop_list)
     model_auc = compute_auc(score_pairs(pairs, sequences, params))
     # baselines see the cleaned stacks without stop-word or component help
-    names = {}
-    for dump_id in ids:
-        text = (Path(args.dumps) / f"{dump_id}.dump").read_text()
-        names[dump_id] = [
-            f.function_name for f in parse_dump(text, dump_id).backtrace_frames
-        ]
     edit_auc = compute_auc(
         (
             baseline_edit_distance(

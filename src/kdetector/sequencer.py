@@ -4,12 +4,14 @@ Consecutive frames that map to the same component collapse into one
 occurrence; the occurrence keeps the contributing function names in frame
 order. Functions absent from the component map go to an ``UNKNOWN:<name>``
 pseudo-component, which can only ever match an occurrence of the same
-function name.
+function name. Runs are compared by :func:`levenshtein`, the one edit
+distance in the package, which also serves the character-level baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable, Sequence
 
 from .dump_parser import StackFrame
 from .errors import ComponentMismatch, EmptyStack
@@ -67,20 +69,41 @@ def to_component_sequence(
     return ComponentSequence(dump_id, tuple(occurrences))
 
 
-def token_levenshtein(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """Edit distance where each function name counts as one token."""
-    if not a:
-        return len(b)
+def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Edit distance (insert, delete, substitute) between two sequences of
+    hashable symbols: characters of a string or function-name tokens.
+
+    Bit-parallel: Myers (JACM 1999) in Hyyro's edit-distance form (2001).
+    Bit ``i`` of ``vp`` / ``vn`` says the DP column steps up / down between
+    rows ``i`` and ``i + 1``; Python ints serve as bit vectors of any width,
+    so one pass over the longer sequence costs a few big-int operations per
+    symbol, whatever the lengths.
+    """
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, tok in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j in range(1, len(b) + 1):
-            cost = 0 if tok == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
+    peq: dict = {}  # symbol -> bitmask of its positions in b
+    for i, symbol in enumerate(b):
+        peq[symbol] = peq.get(symbol, 0) | (1 << i)
+    mask = (1 << len(b)) - 1  # bounds vp's width; higher bits never reach `last`
+    last = 1 << (len(b) - 1)
+    vp, vn, dist = mask, 0, len(b)
+    for symbol in a:
+        eq = peq.get(symbol, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1  # row 0 of the DP rises by one per column
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist
 
 
 def component_distance(a: ComponentOccurrence, b: ComponentOccurrence) -> float:
@@ -89,7 +112,7 @@ def component_distance(a: ComponentOccurrence, b: ComponentOccurrence) -> float:
         raise ComponentMismatch(f"{a.component!r} vs {b.component!r}")
     if a.functions == b.functions:
         return 0.0
-    return token_levenshtein(a.functions, b.functions) / max(
+    return levenshtein(a.functions, b.functions) / max(
         len(a.functions), len(b.functions)
     )
 

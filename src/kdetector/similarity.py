@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import EmptyStack
-from .sequencer import ComponentSequence, component_distance
+from .sequencer import ComponentSequence, component_distance, levenshtein
 
 _MATCH, _SKIP_A, _SKIP_B = 0, 1, 2
 
@@ -138,7 +136,9 @@ def match_features(seq_a: ComponentSequence, seq_b: ComponentSequence) -> PairFe
 
 
 @lru_cache(maxsize=65536)
-def _position_weight_total(m: float, max_position: int) -> float:
+def position_weight_total(m: float, max_position: int) -> float:
+    """The score's normalizer: ``exp(-m * i)`` summed over ``i`` in
+    ``0..max_position``, in ascending order."""
     total = 0.0
     for i in range(max_position + 1):
         total += math.exp(-m * i)
@@ -154,7 +154,7 @@ def score_features(features: PairFeatures, params: ModelParams) -> float:
     numerator = 0.0
     for pair in features.matched:
         numerator += math.exp(-(params.m * pair.pos + params.n * pair.dist))
-    return numerator / _position_weight_total(params.m, features.max_position)
+    return numerator / position_weight_total(params.m, features.max_position)
 
 
 def similarity(
@@ -164,26 +164,6 @@ def similarity(
     features = match_features(seq_a, seq_b)
     value = score_features(features, params)
     return SimilarityScore(value, features.matched, features.max_position)
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert, delete, substitute)."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    b_codes = np.fromiter(map(ord, b), count=len(b), dtype=np.int64)
-    offsets = np.arange(len(b) + 1, dtype=np.int64)
-    prev = offsets.copy()
-    cur = np.empty(len(b) + 1, dtype=np.int64)
-    for i, ch in enumerate(a, start=1):
-        cur[0] = i
-        np.minimum(prev[:-1] + (b_codes != ord(ch)), prev[1:] + 1, out=cur[1:])
-        # sweep in insertions: cur[j] = min over k<=j of cur[k] + (j - k)
-        np.minimum.accumulate(cur - offsets, out=cur)
-        cur += offsets
-        prev, cur = cur, prev
-    return int(prev[-1])
 
 
 def baseline_edit_distance(stack_a: str, stack_b: str) -> float:

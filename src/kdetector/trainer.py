@@ -8,6 +8,14 @@ Coefficients are tuned by exhaustive AUC grid search over
 ``m, n in {0.0, 0.1, ..., 2.0}``, keeping the first grid point that
 attains the maximum, and the decision threshold is the smallest value
 maximizing F1 on the training scores.
+
+Exactness contract: the grid is scored as arrays (numpy is imported there
+and in the AUC code only), yet every score equals the scalar
+:func:`~kdetector.similarity.score_features` bit for bit and every AUC
+equals a scalar tie-group scan. A tuning run therefore gives the same grid
+report, the same argmax (first maximum, row-major with ``m`` outer) and
+the same threshold as scoring the 441 points one at a time; the frozen
+copies in ``tests/oracles.py`` hold the live code to that.
 """
 
 from __future__ import annotations
@@ -16,13 +24,20 @@ import datetime
 import itertools
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateSet
 from .sequencer import ComponentSequence
-from .similarity import ModelParams, PairFeatures, match_features, score_features
+from .similarity import (
+    ModelParams,
+    PairFeatures,
+    match_features,
+    position_weight_total,
+    score_features,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -212,24 +227,40 @@ def split_pairs_by_group(
 def compute_auc(scored: Iterable[tuple[float, str]]) -> float:
     """ROC AUC by the rank statistic; tied scores contribute one half."""
     items = list(scored)
-    positives = sum(1 for _, label in items if label == DUPLICATE)
-    negatives = len(items) - positives
+    return _rank_auc([[score for score, _ in items]], [label for _, label in items])[0]
+
+
+def _rank_auc(score_rows, labels: Sequence[str]) -> list[float]:
+    """AUC of each row of scores against one label list.
+
+    Each row is sorted once; every member of a run of tied scores gets the
+    run's average rank ``(start + 1 + end) / 2``. Twice the positives' rank
+    sum is an integer, so the rank sum is exact in any summation order and
+    the result equals a scalar tie-group scan bit for bit.
+    """
+    positives = sum(1 for label in labels if label == DUPLICATE)
+    negatives = len(labels) - positives
     if positives == 0 or negatives == 0:
         raise DegenerateSet("AUC needs at least one positive and one negative")
-    items.sort(key=lambda it: it[0])
-    rank_sum = 0.0
-    i = 0
-    while i < len(items):
-        j = i
-        while j < len(items) and items[j][0] == items[i][0]:
-            j += 1
-        avg_rank = (i + 1 + j) / 2  # average of ranks i+1 .. j
-        rank_sum += avg_rank * sum(
-            1 for k in range(i, j) if items[k][1] == DUPLICATE
-        )
-        i = j
-    u_stat = rank_sum - positives * (positives + 1) / 2
-    return u_stat / (positives * negatives)
+    import numpy as np
+
+    scores = np.asarray(score_rows, dtype=np.float64)
+    order = np.argsort(scores, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    size = ranked.shape[1]
+    index = np.arange(size)
+    opens = np.ones(ranked.shape, dtype=bool)  # first member of a tie run
+    opens[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    closes = np.ones(ranked.shape, dtype=bool)  # last member of a tie run
+    closes[:, :-1] = opens[:, 1:]
+    start = np.maximum.accumulate(np.where(opens, index, 0), axis=1)
+    end = np.minimum.accumulate(np.where(closes, index + 1, size)[:, ::-1], axis=1)[:, ::-1]
+    is_dup = np.array([label == DUPLICATE for label in labels])
+    twice_rank_sums = np.where(is_dup[order], start + 1 + end, 0).sum(axis=1)
+    return [
+        (int(twice) / 2 - positives * (positives + 1) / 2) / (positives * negatives)
+        for twice in twice_rank_sums
+    ]
 
 
 def pair_features(
@@ -270,36 +301,70 @@ def tune_parameters(
     incumbent, so the first grid point attaining the maximum wins. Grid
     values are built as i/10 to keep them exact. The returned params carry
     the F1-optimal threshold at the tuned coefficients.
+
+    All 441 points are scored at once as arrays (:func:`_grid_scores`), but
+    every score is bit-identical to :func:`score_features` at that point, so
+    the grid report, the argmax and the threshold are exactly those of a
+    point-by-point scan.
     """
     featured = pair_features(pairs, sequences)
+    labels = [label for _, label in featured]
+    scores = _grid_scores([features for features, _ in featured])
     grid: list[tuple[float, float, float]] = []
     best_auc = -1.0
-    best_m = best_n = 0.0
-    for mi in range(GRID_STEPS):
-        m = mi / 10
-        for ni in range(GRID_STEPS):
-            n = ni / 10
-            params = ModelParams(m, n)
-            auc = compute_auc(
-                (score_features(features, params), label)
-                for features, label in featured
-            )
-            grid.append((m, n, auc))
-            if auc > best_auc:
-                best_auc = auc
-                best_m, best_n = m, n
-    scored = [
-        (score_features(features, ModelParams(best_m, best_n)), label)
-        for features, label in featured
-    ]
-    threshold = best_f1_threshold(scored)
+    best = 0
+    for k, auc in enumerate(_rank_auc(scores, labels)):
+        grid.append((k // GRID_STEPS / 10, k % GRID_STEPS / 10, auc))
+        if auc > best_auc:
+            best_auc, best = auc, k
+    best_m, best_n, _ = grid[best]
+    threshold = best_f1_threshold(list(zip(scores[best].tolist(), labels)))
     return TuningResult(ModelParams(best_m, best_n, threshold), best_auc, grid)
+
+
+def _grid_scores(features: Sequence[PairFeatures]):
+    """Scores of every pair at every grid point, one row per point.
+
+    Each distinct ``(pos, dist)`` key is interned to a column of a weight
+    table filled with ``math.exp`` (numpy's vectorized exp may round
+    differently), column 0 being ``+0.0`` padding. Numerators add the
+    gathered weights one matched pair at a time, in matched order, exactly
+    as :func:`score_features` does; padding leaves a sum unchanged. The
+    denominators come from the same cached position-weight totals.
+    """
+    import numpy as np
+
+    keys: dict[tuple[int, float], int] = {}
+    width = max((len(f.matched) for f in features), default=0)
+    columns = np.zeros((len(features), width), dtype=np.intp)
+    for row, f in enumerate(features):
+        columns[row, : len(f.matched)] = [
+            keys.setdefault((pair.pos, pair.dist), len(keys) + 1) for pair in f.matched
+        ]
+    steps = [i / 10 for i in range(GRID_STEPS)]
+    weights = np.zeros((GRID_STEPS * GRID_STEPS, len(keys) + 1))
+    for (pos, dist), col in keys.items():
+        weights[:, col] = [math.exp(-(m * pos + n * dist)) for m in steps for n in steps]
+    numerators = np.zeros((GRID_STEPS * GRID_STEPS, len(features)))
+    for col in range(width):
+        numerators += weights[:, columns[:, col]]
+    totals = np.array(
+        [[position_weight_total(m, f.max_position) for f in features] for m in steps]
+    ).reshape(GRID_STEPS, 1, len(features))
+    return (numerators.reshape(GRID_STEPS, GRID_STEPS, -1) / totals).reshape(
+        GRID_STEPS * GRID_STEPS, -1
+    )
 
 
 def best_f1_threshold(scored: Sequence[tuple[float, str]]) -> float:
     """Smallest threshold maximizing F1 for ``predict duplicate iff
     score >= threshold``; perfectly separated scores therefore yield the
-    midpoint of the separating gap."""
+    midpoint of the separating gap.
+
+    Candidates are the distinct scores and the midpoints between neighbours.
+    One sort, then one sweep that drops the pairs below each candidate in
+    turn, gives every candidate's counts.
+    """
     positives = sum(1 for _, label in scored if label == DUPLICATE)
     if positives == 0 or positives == len(scored):
         raise DegenerateSet("threshold selection needs both classes")
@@ -309,11 +374,18 @@ def best_f1_threshold(scored: Sequence[tuple[float, str]]) -> float:
             (a + b) / 2 for a, b in zip(distinct, distinct[1:])
         )
     )
+    ranked = sorted(scored, key=lambda it: it[0])
+    tp = positives
+    fp = sum(1 for _, label in scored if label == NON_DUPLICATE)
+    below = 0  # ranked[:below] score under the current candidate
     best_t = candidates[0]
     best_f1 = -1.0
     for t in candidates:
-        tp = sum(1 for s, label in scored if s >= t and label == DUPLICATE)
-        fp = sum(1 for s, label in scored if s >= t and label == NON_DUPLICATE)
+        while below < len(ranked) and ranked[below][0] < t:
+            label = ranked[below][1]
+            tp -= label == DUPLICATE
+            fp -= label == NON_DUPLICATE
+            below += 1
         fn = positives - tp
         f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
         if f1 > best_f1:

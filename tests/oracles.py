@@ -1,0 +1,168 @@
+"""Frozen scalar reference implementations.
+
+Verbatim copies of the scalar scoring, AUC, F1-threshold, grid-search and
+edit-distance code that the array-based tuner and the bit-parallel edit
+distance replaced. ``test_oracles.py`` checks the live versions against
+them for exact equality. Do not edit these to follow the live code: they
+define the outputs the live code must keep.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from kdetector.errors import DegenerateSet
+from kdetector.sequencer import ComponentSequence
+from kdetector.similarity import ModelParams, PairFeatures
+from kdetector.trainer import (
+    DUPLICATE,
+    GRID_STEPS,
+    NON_DUPLICATE,
+    LabeledPair,
+    TuningResult,
+    pair_features,
+)
+
+
+@lru_cache(maxsize=65536)
+def _position_weight_total(m: float, max_position: int) -> float:
+    total = 0.0
+    for i in range(max_position + 1):
+        total += math.exp(-m * i)
+    return total
+
+
+def score_features(features: PairFeatures, params: ModelParams) -> float:
+    """Evaluate the weighted-match score for precomputed features.
+
+    The numerator accumulates matched pairs in the same ascending-position
+    order the denominator uses, so an identical pair scores exactly 1.0.
+    """
+    numerator = 0.0
+    for pair in features.matched:
+        numerator += math.exp(-(params.m * pair.pos + params.n * pair.dist))
+    return numerator / _position_weight_total(params.m, features.max_position)
+
+
+def compute_auc(scored: Iterable[tuple[float, str]]) -> float:
+    """ROC AUC by the rank statistic; tied scores contribute one half."""
+    items = list(scored)
+    positives = sum(1 for _, label in items if label == DUPLICATE)
+    negatives = len(items) - positives
+    if positives == 0 or negatives == 0:
+        raise DegenerateSet("AUC needs at least one positive and one negative")
+    items.sort(key=lambda it: it[0])
+    rank_sum = 0.0
+    i = 0
+    while i < len(items):
+        j = i
+        while j < len(items) and items[j][0] == items[i][0]:
+            j += 1
+        avg_rank = (i + 1 + j) / 2  # average of ranks i+1 .. j
+        rank_sum += avg_rank * sum(
+            1 for k in range(i, j) if items[k][1] == DUPLICATE
+        )
+        i = j
+    u_stat = rank_sum - positives * (positives + 1) / 2
+    return u_stat / (positives * negatives)
+
+
+def tune_parameters(
+    pairs: Sequence[LabeledPair], sequences: Mapping[str, ComponentSequence]
+) -> TuningResult:
+    """Exhaustive AUC grid search over the 21x21 coefficient grid.
+
+    Scans row-major with m outer; only a strictly better AUC displaces the
+    incumbent, so the first grid point attaining the maximum wins. Grid
+    values are built as i/10 to keep them exact. The returned params carry
+    the F1-optimal threshold at the tuned coefficients.
+    """
+    featured = pair_features(pairs, sequences)
+    grid: list[tuple[float, float, float]] = []
+    best_auc = -1.0
+    best_m = best_n = 0.0
+    for mi in range(GRID_STEPS):
+        m = mi / 10
+        for ni in range(GRID_STEPS):
+            n = ni / 10
+            params = ModelParams(m, n)
+            auc = compute_auc(
+                (score_features(features, params), label)
+                for features, label in featured
+            )
+            grid.append((m, n, auc))
+            if auc > best_auc:
+                best_auc = auc
+                best_m, best_n = m, n
+    scored = [
+        (score_features(features, ModelParams(best_m, best_n)), label)
+        for features, label in featured
+    ]
+    threshold = best_f1_threshold(scored)
+    return TuningResult(ModelParams(best_m, best_n, threshold), best_auc, grid)
+
+
+def best_f1_threshold(scored: Sequence[tuple[float, str]]) -> float:
+    """Smallest threshold maximizing F1 for ``predict duplicate iff
+    score >= threshold``; perfectly separated scores therefore yield the
+    midpoint of the separating gap."""
+    positives = sum(1 for _, label in scored if label == DUPLICATE)
+    if positives == 0 or positives == len(scored):
+        raise DegenerateSet("threshold selection needs both classes")
+    distinct = sorted({score for score, _ in scored})
+    candidates = sorted(
+        set(distinct).union(
+            (a + b) / 2 for a, b in zip(distinct, distinct[1:])
+        )
+    )
+    best_t = candidates[0]
+    best_f1 = -1.0
+    for t in candidates:
+        tp = sum(1 for s, label in scored if s >= t and label == DUPLICATE)
+        fp = sum(1 for s, label in scored if s >= t and label == NON_DUPLICATE)
+        fn = positives - tp
+        f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+        if f1 > best_f1:
+            best_f1 = f1
+            best_t = t
+    return best_t
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Character-level edit distance (insert, delete, substitute)."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    b_codes = np.fromiter(map(ord, b), count=len(b), dtype=np.int64)
+    offsets = np.arange(len(b) + 1, dtype=np.int64)
+    prev = offsets.copy()
+    cur = np.empty(len(b) + 1, dtype=np.int64)
+    for i, ch in enumerate(a, start=1):
+        cur[0] = i
+        np.minimum(prev[:-1] + (b_codes != ord(ch)), prev[1:] + 1, out=cur[1:])
+        # sweep in insertions: cur[j] = min over k<=j of cur[k] + (j - k)
+        np.minimum.accumulate(cur - offsets, out=cur)
+        cur += offsets
+        prev, cur = cur, prev
+    return int(prev[-1])
+
+
+def token_levenshtein(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """Edit distance where each function name counts as one token."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, tok in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j in range(1, len(b) + 1):
+            cost = 0 if tok == b[j - 1] else 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+        prev = cur
+    return prev[-1]

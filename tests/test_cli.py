@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,3 +193,14 @@ def test_malformed_dump_reports_data_error(workspace, capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_import_cli_does_not_load_numpy():
+    # numpy is imported only inside the trainer's array code
+    probe = "import sys, kdetector.cli; print('numpy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

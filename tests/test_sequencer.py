@@ -9,10 +9,10 @@ from kdetector.errors import ComponentMismatch, EmptyStack
 from kdetector.sequencer import (
     ComponentOccurrence,
     component_distance,
+    levenshtein,
     sequence_from_text,
     sequence_to_text,
     to_component_sequence,
-    token_levenshtein,
 )
 
 from conftest import make_component_map, make_sequence
@@ -107,7 +107,7 @@ TOKENS = st.lists(st.sampled_from(["f", "g", "h", "k"]), min_size=1, max_size=6)
 
 @given(TOKENS, TOKENS)
 def test_token_levenshtein_matches_oracle(a, b):
-    assert token_levenshtein(a, b) == oracle_levenshtein(a, b)
+    assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
 
 @given(TOKENS, TOKENS)

@@ -293,8 +293,10 @@ def main(argv=None) -> int:
     try:
         config = {}
         if "--config" in argv:
-            config_path = argv[argv.index("--config") + 1]
-            config = json.loads(Path(config_path).read_text())
+            at = argv.index("--config") + 1
+            if at == len(argv):
+                raise UsageError("argument --config: expected one argument")
+            config = json.loads(Path(argv[at]).read_text())
         parser = build_parser(config)
         args = parser.parse_args(argv)
         return args.func(args)

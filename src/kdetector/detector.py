@@ -1,22 +1,35 @@
 """Online triage: score an incoming dump against recent history.
 
 The failure store is an append-only directory: one ``bugs.ndjson`` line per
-record plus a serialized component sequence per dump. Detection scores the
-incoming sequence against every stored sequence inside the recency window;
-a best score at or above the threshold binds the candidate group's
-canonical bug id (the smallest in its union-find group, so bindings stay
-stable as groups grow), anything else files a new bug.
+record plus a serialized component sequence per dump under ``sequences/``.
+Detection scores the incoming sequence against every stored sequence inside
+the recency window; a best score at or above the threshold binds the
+candidate group's canonical bug id (the smallest in its union-find group, so
+bindings stay stable as groups grow), anything else files a new bug.
+
+The store keeps an index in memory; the files on disk are the same with or
+without it. Opening a store of n records parses each line once and builds a
+dump-id set and the running maximum bug id, so ``has_dump`` is one set
+lookup and ``next_bug_id`` is that maximum plus one. The first windowed
+query sorts the records by ``(creation_time, bug_id)`` once (O(n log n));
+after that a days window is one bisect plus a slice, ``last_k`` is a slice,
+and ``append`` inserts in place. The first ``canonical_bug`` builds a
+union-find over the ``dupe_of`` edges (O(n)); after that it is one ``find``,
+and ``append`` adds the new record's edges. An edge whose target is not
+stored yet waits until that bug id arrives.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dump_parser import CrashDump, parse_dump
-from .errors import DuplicateDumpId, StoreWriteError
+from .errors import DuplicateDumpId, MalformedRecord, StoreWriteError, UnsafeDumpId
 from .knowledge_miner import ComponentMap
 from .sequencer import ComponentSequence, sequence_from_text, sequence_to_text, to_component_sequence
 from .similarity import ModelParams, match_features, score_features
@@ -28,6 +41,8 @@ NEW = "new"
 
 _RECORDS_FILE = "bugs.ndjson"
 _SEQUENCE_DIR = "sequences"
+_PATH_CHARS = frozenset("/\\\0")  # separators and NUL
+_time_key = operator.attrgetter("creation_time", "bug_id")
 
 
 @dataclass(frozen=True)
@@ -49,7 +64,12 @@ class DetectionResult:
 
 
 class FailureStore:
-    """Append-only record + sequence store backed by a directory."""
+    """Append-only record + sequence store backed by a directory.
+
+    The index lives in memory. Open parses ``bugs.ndjson`` into the dump-id
+    set and the running maximum bug id; the time order and the union-find
+    are built on first use and then kept current by ``append``.
+    """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
@@ -60,42 +80,72 @@ class FailureStore:
             raise StoreWriteError(f"cannot initialize store at {self.root}") from exc
         self._records: list[FailureRecord] = []
         self._sequences: dict[str, ComponentSequence] = {}
-        text = (self.root / _RECORDS_FILE).read_text()
-        for line in text.splitlines():
-            if line.strip():
+        path = self.root / _RECORDS_FILE
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
                 self._records.append(record_from_json(line))
+            except (MalformedRecord, ValueError) as exc:
+                raise MalformedRecord(f"{path}:{number}: {exc}") from exc
+        self._dump_ids = {record.dump_id for record in self._records}
+        self._max_bug_id = max((record.bug_id for record in self._records), default=None)
+        # built on first use: records in (creation_time, bug_id) order
+        self._ordered: list[FailureRecord] | None = None
+        # built on first use: dupe_of groups, plus the edges whose target is
+        # not stored yet, keyed by that target
+        self._groups: UnionFind | None = None
+        self._pending: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
     @property
     def records(self) -> list[FailureRecord]:
+        """Every record in append order."""
         return list(self._records)
 
     def has_dump(self, dump_id: str) -> bool:
-        return any(record.dump_id == dump_id for record in self._records)
+        return dump_id in self._dump_ids
 
     def sequence_for(self, dump_id: str) -> ComponentSequence:
         if dump_id not in self._sequences:
+            _check_dump_id(dump_id)
             path = self.root / _SEQUENCE_DIR / f"{dump_id}.tsv"
             self._sequences[dump_id] = sequence_from_text(path.read_text(), dump_id)
         return self._sequences[dump_id]
 
     def next_bug_id(self) -> int:
-        return max((record.bug_id for record in self._records), default=0) + 1
+        return (self._max_bug_id or 0) + 1
 
     def canonical_bug(self, bug_id: int) -> int:
         """Smallest bug id in the union-find group along dupe_of edges."""
-        uf = UnionFind()
-        known = {record.bug_id for record in self._records}
-        for record in self._records:
-            uf.add(record.bug_id)
-            if record.dupe_of is not None and record.dupe_of in known:
-                uf.union(record.bug_id, record.dupe_of)
-        root = uf.find(bug_id)
-        return min(b for b in known if uf.find(b) == root)
+        if self._groups is None:
+            self._groups = UnionFind()
+            for record in self._records:
+                self._link(record)
+        if bug_id not in self._groups.parent:
+            raise ValueError(f"bug {bug_id} is not in the store")
+        return self._groups.find(bug_id)
+
+    def window(
+        self, window: RecencyWindow, now: datetime.datetime | None = None
+    ) -> list[FailureRecord]:
+        """Records inside the window, ordered by (creation_time, bug_id)."""
+        if self._ordered is None:
+            self._ordered = sorted(self._records, key=_time_key)
+        if window.last_k is not None:
+            return self._ordered[-window.last_k :] if window.last_k > 0 else []
+        if window.days is None:
+            return self._ordered[:]
+        now = now or datetime.datetime.now(datetime.timezone.utc)
+        horizon = now - datetime.timedelta(days=window.days)
+        # (horizon,) sorts before every key whose time is horizon
+        start = bisect.bisect_left(self._ordered, (horizon,), key=_time_key)
+        return self._ordered[start:]
 
     def append(self, record: FailureRecord, sequence: ComponentSequence) -> None:
+        _check_dump_id(record.dump_id)
         if self.has_dump(record.dump_id):
             raise DuplicateDumpId(record.dump_id)
         try:
@@ -107,6 +157,33 @@ class FailureStore:
             raise StoreWriteError(f"cannot append {record.dump_id}") from exc
         self._records.append(record)
         self._sequences[record.dump_id] = sequence
+        self._dump_ids.add(record.dump_id)
+        if self._max_bug_id is None or record.bug_id > self._max_bug_id:
+            self._max_bug_id = record.bug_id
+        if self._ordered is not None:
+            # after equal keys, where a stable sort of all records puts it
+            bisect.insort_right(self._ordered, record, key=_time_key)
+        if self._groups is not None:
+            self._link(record)
+
+    def _link(self, record: FailureRecord) -> None:
+        """Add the record's bug id and every dupe_of edge it completes."""
+        groups = self._groups
+        groups.add(record.bug_id)
+        for child in self._pending.pop(record.bug_id, ()):
+            groups.union(child, record.bug_id)
+        if record.dupe_of is None:
+            return
+        if record.dupe_of in groups.parent:
+            groups.union(record.bug_id, record.dupe_of)
+        else:
+            self._pending.setdefault(record.dupe_of, []).append(record.bug_id)
+
+
+def _check_dump_id(dump_id: str) -> None:
+    """A dump id names its sequence file, so it must be one plain file name."""
+    if dump_id in ("", ".", "..") or not _PATH_CHARS.isdisjoint(dump_id):
+        raise UnsafeDumpId(f"dump id {dump_id!r} is not a plain file name")
 
 
 class Detector:
@@ -164,7 +241,7 @@ class Detector:
         bug id. An empty window yields a NEW verdict with no bug id bound;
         the caller files it via bind_or_file.
         """
-        candidates = self._window_records(window, now)
+        candidates = self.store.window(window, now)
         best: FailureRecord | None = None
         best_score: float | None = None
         for record in candidates:
@@ -232,20 +309,6 @@ class Detector:
         if bind:
             self.bind_or_file(result, sequence, dump_path=dump_path, now=crash_time)
         return result
-
-    def _window_records(
-        self, window: RecencyWindow, now: datetime.datetime | None
-    ) -> list[FailureRecord]:
-        ordered = sorted(
-            self.store.records, key=lambda r: (r.creation_time, r.bug_id)
-        )
-        if window.last_k is not None:
-            return ordered[-window.last_k :] if window.last_k > 0 else []
-        if window.days is None:
-            return ordered
-        now = now or datetime.datetime.now(datetime.timezone.utc)
-        horizon = now - datetime.timedelta(days=window.days)
-        return [record for record in ordered if record.creation_time >= horizon]
 
 
 def _better(

@@ -44,3 +44,11 @@ class DuplicateDumpId(KDetectorError):
 
 class StoreWriteError(KDetectorError):
     """The failure store could not be written."""
+
+
+class MalformedRecord(KDetectorError):
+    """A failure-store record line is not a valid record."""
+
+
+class UnsafeDumpId(KDetectorError):
+    """A dump id is not one plain file name, so it cannot name a store file."""

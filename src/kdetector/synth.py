@@ -11,6 +11,7 @@ seeds give byte-identical corpora.
 from __future__ import annotations
 
 import datetime
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -249,11 +250,15 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
 
 
 def write_corpus(corpus: SynthCorpus, out_dir: Path | str) -> None:
+    """Write the corpus files. Source files get the earliest record time as
+    their mtime, so a later ``mine`` stamps a seed-derived time."""
     out = Path(out_dir)
+    stamp = min((r.creation_time.timestamp() for r in corpus.records), default=0.0)
     for rel, text in corpus.src_files.items():
         path = out / "src" / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
+        os.utime(path, (stamp, stamp))
     (out / "dumps").mkdir(parents=True, exist_ok=True)
     for dump_id, text in corpus.dump_texts.items():
         (out / "dumps" / f"{dump_id}.dump").write_text(text)

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegenerateSet
+from .errors import DegenerateSet, MalformedRecord
 from .sequencer import ComponentSequence
 from .similarity import (
     ModelParams,
@@ -84,7 +84,11 @@ class LabeledPair:
 
 
 class UnionFind:
-    """Disjoint sets over arbitrary hashable items, with path compression."""
+    """Disjoint sets over orderable items, with path compression.
+
+    ``union`` keeps the smaller root, so ``find`` returns the smallest item
+    of the item's set.
+    """
 
     def __init__(self) -> None:
         self.parent: dict = {}
@@ -104,7 +108,7 @@ class UnionFind:
     def union(self, a, b) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            self.parent[rb] = ra
+            self.parent[max(ra, rb)] = min(ra, rb)
 
     def groups(self) -> list[set]:
         by_root: dict = {}
@@ -459,14 +463,41 @@ def record_to_json(record: FailureRecord) -> str:
     )
 
 
+_JSON = json.JSONDecoder()  # json.loads(line) without its per-call argument checks
+
+
 def record_from_json(line: str) -> FailureRecord:
-    data = json.loads(line)
+    """Parse one record line.
+
+    Raises ``MalformedRecord`` when a field has the wrong type: ``bug_id``
+    must be an int (not a bool), ``dupe_of`` an int or null, ``dump_id`` a
+    string and ``creation_time`` an ISO time with a UTC offset. Text that is
+    not JSON raises ``ValueError``.
+    """
+    data = _JSON.decode(line)
+    if not isinstance(data, dict):
+        raise MalformedRecord("record is not a JSON object")
+    bug_id, dupe_of = data.get("bug_id"), data.get("dupe_of")
+    if type(bug_id) is not int:
+        raise MalformedRecord(f"bug_id {bug_id!r} is not an integer")
+    if dupe_of is not None and type(dupe_of) is not int:
+        raise MalformedRecord(f"dupe_of {dupe_of!r} is neither an integer nor null")
+    dump_id = data.get("dump_id")
+    if not isinstance(dump_id, str):
+        raise MalformedRecord(f"dump_id {dump_id!r} is not a string")
+    stamp = data.get("creation_time")
+    try:
+        creation_time = datetime.datetime.fromisoformat(stamp)
+    except (TypeError, ValueError):
+        raise MalformedRecord(f"creation_time {stamp!r} is not an ISO time") from None
+    if creation_time.tzinfo is None:
+        raise MalformedRecord(f"creation_time {stamp!r} has no UTC offset")
     return FailureRecord(
-        bug_id=int(data["bug_id"]),
-        dump_id=data["dump_id"],
+        bug_id=bug_id,
+        dump_id=dump_id,
         resolution=data.get("resolution", ""),
-        creation_time=datetime.datetime.fromisoformat(data["creation_time"]),
-        dupe_of=data.get("dupe_of"),
+        creation_time=creation_time,
+        dupe_of=dupe_of,
         top_component=data.get("top_component", ""),
         dump_path=data.get("dump_path", ""),
     )

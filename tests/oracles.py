@@ -2,13 +2,17 @@
 
 Verbatim copies of the scalar scoring, AUC, F1-threshold, grid-search and
 edit-distance code that the array-based tuner and the bit-parallel edit
-distance replaced. ``test_oracles.py`` checks the live versions against
-them for exact equality. Do not edit these to follow the live code: they
-define the outputs the live code must keep.
+distance replaced, and of the failure store's record scans that its
+in-memory index replaced (there as methods over ``self._records``, here as
+functions over a record list). ``test_oracles.py`` and
+``test_store_index.py`` check the live versions against them for exact
+equality. Do not edit these to follow the live code: they define the
+outputs the live code must keep.
 """
 
 from __future__ import annotations
 
+import datetime
 import math
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +26,7 @@ from kdetector.trainer import (
     DUPLICATE,
     GRID_STEPS,
     NON_DUPLICATE,
+    FailureRecord,
     LabeledPair,
     TuningResult,
     pair_features,
@@ -166,3 +171,64 @@ def token_levenshtein(a: tuple[str, ...], b: tuple[str, ...]) -> int:
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
         prev = cur
     return prev[-1]
+
+
+class UnionFind:
+    """Disjoint sets over arbitrary hashable items, with path compression."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def add(self, item) -> None:
+        self.parent.setdefault(item, item)
+
+    def find(self, item):
+        self.add(item)
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def has_dump(records: Sequence[FailureRecord], dump_id: str) -> bool:
+    return any(record.dump_id == dump_id for record in records)
+
+
+def next_bug_id(records: Sequence[FailureRecord]) -> int:
+    return max((record.bug_id for record in records), default=0) + 1
+
+
+def canonical_bug(records: Sequence[FailureRecord], bug_id: int) -> int:
+    """Smallest bug id in the union-find group along dupe_of edges."""
+    uf = UnionFind()
+    known = {record.bug_id for record in records}
+    for record in records:
+        uf.add(record.bug_id)
+        if record.dupe_of is not None and record.dupe_of in known:
+            uf.union(record.bug_id, record.dupe_of)
+    root = uf.find(bug_id)
+    return min(b for b in known if uf.find(b) == root)
+
+
+def window_records(
+    records: Sequence[FailureRecord],
+    days: float | None,
+    last_k: int | None,
+    now: datetime.datetime | None,
+) -> list[FailureRecord]:
+    """``Detector._window_records`` with the window's two fields spelled out."""
+    ordered = sorted(records, key=lambda r: (r.creation_time, r.bug_id))
+    if last_k is not None:
+        return ordered[-last_k:] if last_k > 0 else []
+    if days is None:
+        return ordered
+    now = now or datetime.datetime.now(datetime.timezone.utc)
+    horizon = now - datetime.timedelta(days=days)
+    return [record for record in ordered if record.creation_time >= horizon]

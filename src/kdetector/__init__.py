@@ -6,7 +6,7 @@ exponential similarity model, tunes the model by AUC grid search, and
 drives a detect-then-bind-or-file triage workflow.
 """
 
-from .detector import DetectionResult, Detector, FailureStore, RecencyWindow
+from .detector import DetectionResult, Detector, FailureRecord, FailureStore, RecencyWindow
 from .dump_parser import CrashDump, StackFrame, clean_frame, parse_dump
 from .errors import KDetectorError
 from .knowledge_miner import ComponentMap, mine_tree
@@ -27,7 +27,6 @@ from .similarity import (
 )
 from .stopwords import StopWordList, derive_stop_words, filter_stop_words
 from .trainer import (
-    FailureRecord,
     LabeledPair,
     build_groups,
     compute_auc,

@@ -141,7 +141,13 @@ def _pipeline_options(p: argparse.ArgumentParser, dflt) -> None:
 
 
 def _load_map(args) -> ComponentMap:
-    return load_component_map(Path(args.map_file).read_text())
+    return load_component_map(Path(args.map_file).read_text(), args.map_file)
+
+
+def _at_least(option: str, value, floor: int) -> None:
+    """Usage error unless the option's value is unset or at least floor."""
+    if value is not None and value < floor:
+        raise UsageError(f"argument {option}: must be at least {floor}, got {value}")
 
 
 def _load_stoplist(args) -> StopWordList:
@@ -256,6 +262,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    _at_least("--window-days", args.window_days, 0)
+    _at_least("--last-k", args.last_k, 0)
     detector = _detector(args, _load_params(args))
     text = Path(args.dump).read_text()
     window = RecencyWindow(days=args.window_days, last_k=args.last_k)
@@ -267,6 +275,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _at_least("--groups", args.groups, 1)
+    _at_least("--per-group", args.per_group, 1)
     spec = CorpusSpec(
         groups=args.groups,
         per_group=args.per_group,

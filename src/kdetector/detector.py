@@ -2,6 +2,8 @@
 
 The failure store is an append-only directory: one ``bugs.ndjson`` line per
 record plus a serialized component sequence per dump under ``sequences/``.
+This module owns that format: the record type, its JSON codec, and the
+union-find that groups records along ``dupe_of`` (training reuses both).
 Detection scores the incoming sequence against every stored sequence inside
 the recency window; a best score at or above the threshold binds the
 candidate group's canonical bug id (the smallest in its union-find group, so
@@ -34,7 +36,6 @@ from .knowledge_miner import ComponentMap
 from .sequencer import ComponentSequence, sequence_from_text, sequence_to_text, to_component_sequence
 from .similarity import ModelParams, match_features, score_features
 from .stopwords import StopWordList, filter_stop_words
-from .trainer import FailureRecord, UnionFind, record_from_json, record_to_json
 
 DUPLICATE = "duplicate"
 NEW = "new"
@@ -43,6 +44,112 @@ _RECORDS_FILE = "bugs.ndjson"
 _SEQUENCE_DIR = "sequences"
 _PATH_CHARS = frozenset("/\\\0")  # separators and NUL
 _time_key = operator.attrgetter("creation_time", "bug_id")
+
+
+@dataclass
+class FailureRecord:
+    """One historical crash failure as tracked in the bug store."""
+
+    bug_id: int
+    dump_id: str
+    resolution: str
+    creation_time: datetime.datetime
+    dupe_of: int | None
+    top_component: str
+    dump_path: str = ""
+
+    def __post_init__(self) -> None:
+        if self.dupe_of == self.bug_id:
+            raise ValueError(f"bug {self.bug_id} cannot be a duplicate of itself")
+
+
+def record_to_json(record: FailureRecord) -> str:
+    return json.dumps(
+        {
+            "bug_id": record.bug_id,
+            "dump_id": record.dump_id,
+            "resolution": record.resolution,
+            "creation_time": record.creation_time.isoformat(),
+            "dupe_of": record.dupe_of,
+            "top_component": record.top_component,
+            "dump_path": record.dump_path,
+        },
+        sort_keys=True,
+    )
+
+
+_JSON = json.JSONDecoder()  # json.loads(line) without its per-call argument checks
+
+
+def record_from_json(line: str) -> FailureRecord:
+    """Parse one record line.
+
+    Raises ``MalformedRecord`` when a field has the wrong type: ``bug_id``
+    must be an int (not a bool), ``dupe_of`` an int or null, ``dump_id`` a
+    string and ``creation_time`` an ISO time with a UTC offset. Text that is
+    not JSON raises ``ValueError``.
+    """
+    data = _JSON.decode(line)
+    if not isinstance(data, dict):
+        raise MalformedRecord("record is not a JSON object")
+    bug_id, dupe_of = data.get("bug_id"), data.get("dupe_of")
+    if type(bug_id) is not int:
+        raise MalformedRecord(f"bug_id {bug_id!r} is not an integer")
+    if dupe_of is not None and type(dupe_of) is not int:
+        raise MalformedRecord(f"dupe_of {dupe_of!r} is neither an integer nor null")
+    dump_id = data.get("dump_id")
+    if not isinstance(dump_id, str):
+        raise MalformedRecord(f"dump_id {dump_id!r} is not a string")
+    stamp = data.get("creation_time")
+    try:
+        creation_time = datetime.datetime.fromisoformat(stamp)
+    except (TypeError, ValueError):
+        raise MalformedRecord(f"creation_time {stamp!r} is not an ISO time") from None
+    if creation_time.tzinfo is None:
+        raise MalformedRecord(f"creation_time {stamp!r} has no UTC offset")
+    return FailureRecord(
+        bug_id=bug_id,
+        dump_id=dump_id,
+        resolution=data.get("resolution", ""),
+        creation_time=creation_time,
+        dupe_of=dupe_of,
+        top_component=data.get("top_component", ""),
+        dump_path=data.get("dump_path", ""),
+    )
+
+
+class UnionFind:
+    """Disjoint sets over orderable items, with path compression.
+
+    ``union`` keeps the smaller root, so ``find`` returns the smallest item
+    of the item's set.
+    """
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def add(self, item) -> None:
+        self.parent.setdefault(item, item)
+
+    def find(self, item):
+        self.add(item)
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self) -> list[set]:
+        by_root: dict = {}
+        for item in self.parent:
+            by_root.setdefault(self.find(item), set()).add(item)
+        return sorted(by_root.values(), key=lambda g: min(g))
 
 
 @dataclass(frozen=True)
@@ -217,17 +324,8 @@ class Detector:
         keeping replays of the same corpus byte-identical.
         """
         dump, sequence = self.sequence_dump(text, dump_id)
-        record = FailureRecord(
-            bug_id=self.store.next_bug_id(),
-            dump_id=dump.dump_id,
-            resolution="",
-            creation_time=_parse_time(dump.header["time"]),
-            dupe_of=None,
-            top_component=sequence.occurrences[0].component,
-            dump_path=dump_path,
-        )
-        self.store.append(record, sequence)
-        return record, sequence
+        crash_time = _parse_time(dump.header["time"])
+        return self._file_record(dump.dump_id, sequence, dump_path, crash_time), sequence
 
     def detect(
         self,
@@ -249,19 +347,11 @@ class Detector:
             score = score_features(match_features(sequence, stored), self.params)
             if best is None or _better(score, record, best_score, best):
                 best, best_score = record, score
-        if best is not None and best_score >= self.params.threshold:
-            return DetectionResult(
-                dump_id=sequence.dump_id,
-                verdict=DUPLICATE,
-                bug_id=self.store.canonical_bug(best.bug_id),
-                score=best_score,
-                candidates_considered=len(candidates),
-                params=self.params,
-            )
+        duplicate = best is not None and best_score >= self.params.threshold
         return DetectionResult(
             dump_id=sequence.dump_id,
-            verdict=NEW,
-            bug_id=None,
+            verdict=DUPLICATE if duplicate else NEW,
+            bug_id=self.store.canonical_bug(best.bug_id) if duplicate else None,
             score=best_score,
             candidates_considered=len(candidates),
             params=self.params,
@@ -276,18 +366,33 @@ class Detector:
     ) -> FailureRecord:
         """Persist the verdict: bind the duplicate or file a new bug."""
         is_duplicate = result.verdict == DUPLICATE
+        now = now or datetime.datetime.now(datetime.timezone.utc)
+        dupe_of = result.bug_id if is_duplicate else None
+        record = self._file_record(result.dump_id, sequence, dump_path, now, dupe_of)
+        if not is_duplicate:
+            result.bug_id = record.bug_id
+        return record
+
+    def _file_record(
+        self,
+        dump_id: str,
+        sequence: ComponentSequence,
+        dump_path: str,
+        creation_time: datetime.datetime,
+        dupe_of: int | None = None,
+    ) -> FailureRecord:
+        """Append a record under the next bug id; one with a dupe_of is
+        resolved as DUPLICATE, one without is a new bug."""
         record = FailureRecord(
             bug_id=self.store.next_bug_id(),
-            dump_id=result.dump_id,
-            resolution="DUPLICATE" if is_duplicate else "",
-            creation_time=now or datetime.datetime.now(datetime.timezone.utc),
-            dupe_of=result.bug_id if is_duplicate else None,
+            dump_id=dump_id,
+            resolution="" if dupe_of is None else "DUPLICATE",
+            creation_time=creation_time,
+            dupe_of=dupe_of,
             top_component=sequence.occurrences[0].component,
             dump_path=dump_path,
         )
         self.store.append(record, sequence)
-        if not is_duplicate:
-            result.bug_id = record.bug_id
         return record
 
     def triage(

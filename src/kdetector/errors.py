@@ -26,6 +26,10 @@ class ManifestSyntaxError(KDetectorError):
         self.line = line
 
 
+class MalformedMap(KDetectorError):
+    """A component-map line is not ``function<TAB>component``."""
+
+
 class EmptyCorpus(KDetectorError):
     """An operation that needs at least one dump received none."""
 

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ManifestSyntaxError
+from .errors import MalformedMap, ManifestSyntaxError
 
 MANIFEST_NAME = "CMakeLists.txt"
 SOURCE_SUFFIXES = {".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp"}
@@ -56,7 +56,6 @@ class ComponentMap:
     """Function -> Component composition over a mined tree snapshot."""
 
     function_to_component: dict[str, str]
-    file_to_component: dict[str, str]
     stats: MapStats
 
     def component_for(self, function_name: str) -> str | None:
@@ -181,14 +180,9 @@ def parse_component_manifests(
     return manifests, file_map, report
 
 
-def extract_function_names(source: str) -> list[str]:
-    """All declared qualified names in a file, deduplicated, order kept."""
-    names, _ = scan_declarations(source)
-    return names
-
-
 def scan_declarations(source: str) -> tuple[list[str], int]:
-    """Like extract_function_names but also counts unparseable lines."""
+    """All declared qualified names in a file, deduplicated, order kept,
+    and the number of lines that could not be parsed."""
     names: list[str] = []
     seen: set[str] = set()
     skipped = 0
@@ -252,7 +246,7 @@ def build_function_component_map(
                     f"{owner[name]} -> {function_map[name]}; keeping the latter"
                 )
     stats = MapStats(len(function_map), len(set(function_map.values())))
-    return ComponentMap(function_map, dict(file_to_component), stats), warnings
+    return ComponentMap(function_map, stats), warnings
 
 
 def mine_tree(
@@ -304,14 +298,19 @@ def dump_component_map(cmap: ComponentMap, mined_at: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_component_map(text: str) -> ComponentMap:
-    """Read a snapshot back; file-level provenance is not persisted."""
+def load_component_map(text: str, path: str = "component map") -> ComponentMap:
+    """Read a snapshot back; file-level provenance is not persisted.
+
+    Raises ``MalformedMap`` naming ``path`` and the line when a line has no
+    tab or an empty side.
+    """
     function_map: dict[str, str] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         name, _, component = line.partition("\t")
-        if name and component:
-            function_map[name] = component
+        if not (name and component):
+            raise MalformedMap(f"{path}:{number}: {line!r} is not function<TAB>component")
+        function_map[name] = component
     stats = MapStats(len(function_map), len(set(function_map.values())))
-    return ComponentMap(function_map, {}, stats)
+    return ComponentMap(function_map, stats)

@@ -22,10 +22,10 @@ UNKNOWN_PREFIX = "UNKNOWN:"
 
 @dataclass(frozen=True)
 class ComponentOccurrence:
-    """A run of consecutive frames belonging to one component."""
+    """A run of consecutive frames belonging to one component; its position
+    is its index in the sequence."""
 
     component: str
-    position: int
     functions: tuple[str, ...]
 
 
@@ -60,12 +60,10 @@ def to_component_sequence(
             run.append(frame.function_name)
             continue
         if run_component is not None:
-            occurrences.append(
-                ComponentOccurrence(run_component, len(occurrences), tuple(run))
-            )
+            occurrences.append(ComponentOccurrence(run_component, tuple(run)))
         run_component = component
         run = [frame.function_name]
-    occurrences.append(ComponentOccurrence(run_component, len(occurrences), tuple(run)))
+    occurrences.append(ComponentOccurrence(run_component, tuple(run)))
     return ComponentSequence(dump_id, tuple(occurrences))
 
 
@@ -123,8 +121,8 @@ def sequence_to_text(sequence: ComponentSequence) -> str:
     Function names with commas (template instantiations) do not round-trip.
     """
     lines = [
-        f"{occ.position}\t{occ.component}\t{','.join(occ.functions)}"
-        for occ in sequence.occurrences
+        f"{position}\t{occ.component}\t{','.join(occ.functions)}"
+        for position, occ in enumerate(sequence.occurrences)
     ]
     return "\n".join(lines) + "\n"
 
@@ -135,9 +133,8 @@ def sequence_from_text(text: str, dump_id: str = "") -> ComponentSequence:
         if not line.strip():
             continue
         position, component, functions = line.split("\t")
-        occurrences.append(
-            ComponentOccurrence(component, int(position), tuple(functions.split(",")))
-        )
+        int(position)  # rejects a non-integer first column; the index is the position
+        occurrences.append(ComponentOccurrence(component, tuple(functions.split(","))))
     if not occurrences:
         raise EmptyStack("serialized sequence has no occurrences")
     return ComponentSequence(dump_id, tuple(occurrences))

@@ -25,8 +25,6 @@ from functools import lru_cache
 from .errors import EmptyStack
 from .sequencer import ComponentSequence, component_distance, levenshtein
 
-_MATCH, _SKIP_A, _SKIP_B = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -95,33 +93,39 @@ def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[Matche
     names_b = [occ.component for occ in seq_b.occurrences]
     la, lb = len(names_a), len(names_b)
     # suffix DP over (length, cost): maximize length, then minimize cost,
-    # cost being the sum of pos_a + pos_b over matched pairs
+    # cost being the sum of pos_a + pos_b over matched pairs.
+    #
+    # When names_a[i] == names_b[j], matching (i, j) always wins. Take any
+    # alignment of the suffixes that skips a[i] or b[j]. With no match it
+    # is shorter than the match move. Otherwise its first match (i', j')
+    # has i' >= i, j' >= j and i' + j' > i + j; replacing that match by
+    # (i, j) keeps the alignment valid and its length, and lowers its cost
+    # strictly. So no skip move is as long and as cheap as the match.
     length = [[0] * (lb + 1) for _ in range(la + 1)]
     cost = [[0] * (lb + 1) for _ in range(la + 1)]
-    move = [[_SKIP_A] * (lb + 1) for _ in range(la + 1)]
     for i in range(la - 1, -1, -1):
+        len_i, len_down = length[i], length[i + 1]
+        cost_i, cost_down = cost[i], cost[i + 1]
         for j in range(lb - 1, -1, -1):
-            best_len, best_cost, best_move = length[i + 1][j], cost[i + 1][j], _SKIP_A
-            if length[i][j + 1] > best_len or (
-                length[i][j + 1] == best_len and cost[i][j + 1] < best_cost
-            ):
-                best_len, best_cost, best_move = length[i][j + 1], cost[i][j + 1], _SKIP_B
             if names_a[i] == names_b[j]:
-                m_len = length[i + 1][j + 1] + 1
-                m_cost = cost[i + 1][j + 1] + i + j
-                if m_len > best_len or (m_len == best_len and m_cost <= best_cost):
-                    best_len, best_cost, best_move = m_len, m_cost, _MATCH
-            length[i][j], cost[i][j], move[i][j] = best_len, best_cost, best_move
+                len_i[j] = len_down[j + 1] + 1
+                cost_i[j] = cost_down[j + 1] + i + j
+            elif len_i[j + 1] > len_down[j] or (
+                len_i[j + 1] == len_down[j] and cost_i[j + 1] < cost_down[j]
+            ):  # skipping b[j] is longer or cheaper than skipping a[i]
+                len_i[j], cost_i[j] = len_i[j + 1], cost_i[j + 1]
+            else:
+                len_i[j], cost_i[j] = len_down[j], cost_down[j]
     matched: list[MatchedPair] = []
     i = j = 0
     while i < la and j < lb:
-        if move[i][j] == _MATCH:
+        if names_a[i] == names_b[j]:
             dist = component_distance(seq_a.occurrences[i], seq_b.occurrences[j])
             matched.append(MatchedPair(names_a[i], i, j, dist))
             i += 1
             j += 1
-        elif move[i][j] == _SKIP_A:
-            i += 1
+        elif length[i][j] == length[i + 1][j] and cost[i][j] == cost[i + 1][j]:
+            i += 1  # skipping a[i] keeps the best value; it wins a tie of skips
         else:
             j += 1
     return matched

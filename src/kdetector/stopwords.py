@@ -11,14 +11,10 @@ entries of the ranked list are filtered out before sequencing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .dump_parser import CrashDump, StackFrame
 from .errors import EmptyCorpus
-from .knowledge_miner import ComponentMap
-from .sequencer import ComponentSequence, to_component_sequence
-from .similarity import ModelParams, match_features, score_features
-from .trainer import DUPLICATE, LabeledPair
 
 
 @dataclass
@@ -72,68 +68,6 @@ def filter_stop_words(
     """Drop stop-word frames; survivors keep order and original indices."""
     active = stop_list.active()
     return [frame for frame in frames if frame.function_name not in active]
-
-
-def precision_curve(
-    pairs: Sequence[LabeledPair],
-    frames_by_dump: Mapping[str, Sequence[StackFrame]],
-    cmap: ComponentMap,
-    stop_list: StopWordList,
-    params: ModelParams,
-    lengths: Sequence[int] | None = None,
-) -> list[tuple[int, float]]:
-    """Precision of the duplicate verdict at each stop-list prefix length.
-
-    For every cutoff L the referenced stacks are re-filtered, re-sequenced
-    and re-scored; a pair counts as predicted duplicate when its score
-    meets params.threshold. A stack that filters to nothing scores 0
-    against everything. Precision with no positive predictions is 0.
-    """
-    if lengths is None:
-        lengths = range(len(stop_list.entries) + 1)
-    dump_ids = {p.dump_id_a for p in pairs} | {p.dump_id_b for p in pairs}
-    curve: list[tuple[int, float]] = []
-    for cutoff in lengths:
-        trimmed = StopWordList(stop_list.entries, cutoff)
-        sequences: dict[str, ComponentSequence | None] = {}
-        for dump_id in dump_ids:
-            kept = filter_stop_words(frames_by_dump[dump_id], trimmed)
-            sequences[dump_id] = (
-                to_component_sequence(kept, cmap, dump_id=dump_id) if kept else None
-            )
-        tp = fp = 0
-        for pair in pairs:
-            seq_a = sequences[pair.dump_id_a]
-            seq_b = sequences[pair.dump_id_b]
-            if seq_a is None or seq_b is None:
-                score = 0.0
-            else:
-                score = score_features(match_features(seq_a, seq_b), params)
-            if score >= params.threshold:
-                if pair.label == DUPLICATE:
-                    tp += 1
-                else:
-                    fp += 1
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        curve.append((cutoff, precision))
-    return curve
-
-
-def plateau_cutoff(
-    curve: Sequence[tuple[int, float]], window: int = 3, min_gain: float = 1e-3
-) -> int:
-    """First length whose next ``window`` lengths gain less than min_gain.
-
-    This is where the precision curve flattens; the final length always
-    qualifies, so a cutoff is always found.
-    """
-    if not curve:
-        raise ValueError("empty precision curve")
-    for idx, (cutoff, precision) in enumerate(curve):
-        lookahead = curve[idx + 1 : idx + 1 + window]
-        if all(later - precision < min_gain for _, later in lookahead):
-            return cutoff
-    return curve[-1][0]
 
 
 def format_stop_words(stop_list: StopWordList) -> str:

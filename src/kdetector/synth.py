@@ -16,12 +16,11 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .detector import FailureRecord, record_to_json
 from .trainer import (
-    FailureRecord,
     LabeledPair,
     build_groups,
     format_pairs,
-    record_to_json,
     sample_pairs,
     split_pairs_by_group,
 )

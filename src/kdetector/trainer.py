@@ -7,7 +7,8 @@ sampled (without replacement, up to the positive count) as hard negatives.
 Coefficients are tuned by exhaustive AUC grid search over
 ``m, n in {0.0, 0.1, ..., 2.0}``, keeping the first grid point that
 attains the maximum, and the decision threshold is the smallest value
-maximizing F1 on the training scores.
+maximizing F1 on the training scores. The evaluation measures live here
+too: ROC AUC, the F1 threshold and the stop-list precision curve.
 
 Exactness contract: the grid is scored as arrays (numpy is imported there
 and in the AUC code only), yet every score equals the scalar
@@ -20,17 +21,18 @@ copies in ``tests/oracles.py`` hold the live code to that.
 
 from __future__ import annotations
 
-import datetime
 import itertools
-import json
 import logging
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegenerateSet, MalformedRecord
-from .sequencer import ComponentSequence
+from .detector import FailureRecord, UnionFind
+from .dump_parser import StackFrame
+from .errors import DegenerateSet
+from .knowledge_miner import ComponentMap
+from .sequencer import ComponentSequence, to_component_sequence
 from .similarity import (
     ModelParams,
     PairFeatures,
@@ -38,6 +40,7 @@ from .similarity import (
     position_weight_total,
     score_features,
 )
+from .stopwords import StopWordList, filter_stop_words
 
 logger = logging.getLogger(__name__)
 
@@ -45,23 +48,6 @@ DUPLICATE = "duplicate"
 NON_DUPLICATE = "non-duplicate"
 
 GRID_STEPS = 21  # 0.0 .. 2.0 in exact tenths
-
-
-@dataclass
-class FailureRecord:
-    """One historical crash failure as tracked in the bug store."""
-
-    bug_id: int
-    dump_id: str
-    resolution: str
-    creation_time: datetime.datetime
-    dupe_of: int | None
-    top_component: str
-    dump_path: str = ""
-
-    def __post_init__(self) -> None:
-        if self.dupe_of == self.bug_id:
-            raise ValueError(f"bug {self.bug_id} cannot be a duplicate of itself")
 
 
 @dataclass(frozen=True)
@@ -81,40 +67,6 @@ class LabeledPair:
             a, b = self.dump_id_b, self.dump_id_a
             object.__setattr__(self, "dump_id_a", a)
             object.__setattr__(self, "dump_id_b", b)
-
-
-class UnionFind:
-    """Disjoint sets over orderable items, with path compression.
-
-    ``union`` keeps the smaller root, so ``find`` returns the smallest item
-    of the item's set.
-    """
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def add(self, item) -> None:
-        self.parent.setdefault(item, item)
-
-    def find(self, item):
-        self.add(item)
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> list[set]:
-        by_root: dict = {}
-        for item in self.parent:
-            by_root.setdefault(self.find(item), set()).add(item)
-        return sorted(by_root.values(), key=lambda g: min(g))
 
 
 def build_groups(
@@ -398,13 +350,49 @@ def best_f1_threshold(scored: Sequence[tuple[float, str]]) -> float:
     return best_t
 
 
-def select_threshold(
+def precision_curve(
     pairs: Sequence[LabeledPair],
-    sequences: Mapping[str, ComponentSequence],
+    frames_by_dump: Mapping[str, Sequence[StackFrame]],
+    cmap: ComponentMap,
+    stop_list: StopWordList,
     params: ModelParams,
-) -> float:
-    """F1-optimal cutoff for tuned coefficients on a training set."""
-    return best_f1_threshold(score_pairs(pairs, sequences, params))
+    lengths: Sequence[int] | None = None,
+) -> list[tuple[int, float]]:
+    """Precision of the duplicate verdict at each stop-list prefix length.
+
+    For every cutoff L the referenced stacks are re-filtered, re-sequenced
+    and re-scored; a pair counts as predicted duplicate when its score
+    meets params.threshold. A stack that filters to nothing scores 0
+    against everything. Precision with no positive predictions is 0.
+    """
+    if lengths is None:
+        lengths = range(len(stop_list.entries) + 1)
+    dump_ids = {p.dump_id_a for p in pairs} | {p.dump_id_b for p in pairs}
+    curve: list[tuple[int, float]] = []
+    for cutoff in lengths:
+        trimmed = StopWordList(stop_list.entries, cutoff)
+        sequences: dict[str, ComponentSequence | None] = {}
+        for dump_id in dump_ids:
+            kept = filter_stop_words(frames_by_dump[dump_id], trimmed)
+            sequences[dump_id] = (
+                to_component_sequence(kept, cmap, dump_id=dump_id) if kept else None
+            )
+        tp = fp = 0
+        for pair in pairs:
+            seq_a = sequences[pair.dump_id_a]
+            seq_b = sequences[pair.dump_id_b]
+            if seq_a is None or seq_b is None:
+                score = 0.0
+            else:
+                score = score_features(match_features(seq_a, seq_b), params)
+            if score >= params.threshold:
+                if pair.label == DUPLICATE:
+                    tp += 1
+                else:
+                    fp += 1
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        curve.append((cutoff, precision))
+    return curve
 
 
 # --- file formats -----------------------------------------------------------
@@ -446,58 +434,3 @@ def format_grid_report(result: TuningResult) -> str:
         f"auc={result.best_auc:.6f}"
     )
     return "\n".join(lines) + "\n"
-
-
-def record_to_json(record: FailureRecord) -> str:
-    return json.dumps(
-        {
-            "bug_id": record.bug_id,
-            "dump_id": record.dump_id,
-            "resolution": record.resolution,
-            "creation_time": record.creation_time.isoformat(),
-            "dupe_of": record.dupe_of,
-            "top_component": record.top_component,
-            "dump_path": record.dump_path,
-        },
-        sort_keys=True,
-    )
-
-
-_JSON = json.JSONDecoder()  # json.loads(line) without its per-call argument checks
-
-
-def record_from_json(line: str) -> FailureRecord:
-    """Parse one record line.
-
-    Raises ``MalformedRecord`` when a field has the wrong type: ``bug_id``
-    must be an int (not a bool), ``dupe_of`` an int or null, ``dump_id`` a
-    string and ``creation_time`` an ISO time with a UTC offset. Text that is
-    not JSON raises ``ValueError``.
-    """
-    data = _JSON.decode(line)
-    if not isinstance(data, dict):
-        raise MalformedRecord("record is not a JSON object")
-    bug_id, dupe_of = data.get("bug_id"), data.get("dupe_of")
-    if type(bug_id) is not int:
-        raise MalformedRecord(f"bug_id {bug_id!r} is not an integer")
-    if dupe_of is not None and type(dupe_of) is not int:
-        raise MalformedRecord(f"dupe_of {dupe_of!r} is neither an integer nor null")
-    dump_id = data.get("dump_id")
-    if not isinstance(dump_id, str):
-        raise MalformedRecord(f"dump_id {dump_id!r} is not a string")
-    stamp = data.get("creation_time")
-    try:
-        creation_time = datetime.datetime.fromisoformat(stamp)
-    except (TypeError, ValueError):
-        raise MalformedRecord(f"creation_time {stamp!r} is not an ISO time") from None
-    if creation_time.tzinfo is None:
-        raise MalformedRecord(f"creation_time {stamp!r} has no UTC offset")
-    return FailureRecord(
-        bug_id=bug_id,
-        dump_id=dump_id,
-        resolution=data.get("resolution", ""),
-        creation_time=creation_time,
-        dupe_of=dupe_of,
-        top_component=data.get("top_component", ""),
-        dump_path=data.get("dump_path", ""),
-    )

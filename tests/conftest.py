@@ -43,15 +43,14 @@ def make_dump_text(
 
 def make_component_map(assignments: dict[str, str]) -> ComponentMap:
     stats = MapStats(len(assignments), len(set(assignments.values())))
-    return ComponentMap(dict(assignments), {}, stats)
+    return ComponentMap(dict(assignments), stats)
 
 
 def make_sequence(
     occurrences: list[tuple[str, list[str]]], dump_id: str = ""
 ) -> ComponentSequence:
     built = tuple(
-        ComponentOccurrence(component, position, tuple(functions))
-        for position, (component, functions) in enumerate(occurrences)
+        ComponentOccurrence(component, tuple(functions)) for component, functions in occurrences
     )
     return ComponentSequence(dump_id, built)
 

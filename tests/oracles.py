@@ -2,9 +2,10 @@
 
 Verbatim copies of the scalar scoring, AUC, F1-threshold, grid-search and
 edit-distance code that the array-based tuner and the bit-parallel edit
-distance replaced, and of the failure store's record scans that its
-in-memory index replaced (there as methods over ``self._records``, here as
-functions over a record list). ``test_oracles.py`` and
+distance replaced, of the failure store's record scans that its in-memory
+index replaced (there as methods over ``self._records``, here as functions
+over a record list), and of ``lcs_match`` with its move table, before the
+match move became unconditional. ``test_oracles.py`` and
 ``test_store_index.py`` check the live versions against them for exact
 equality. Do not edit these to follow the live code: they define the
 outputs the live code must keep.
@@ -19,14 +20,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from kdetector.detector import FailureRecord
 from kdetector.errors import DegenerateSet
-from kdetector.sequencer import ComponentSequence
-from kdetector.similarity import ModelParams, PairFeatures
+from kdetector.sequencer import ComponentSequence, component_distance
+from kdetector.similarity import MatchedPair, ModelParams, PairFeatures
 from kdetector.trainer import (
     DUPLICATE,
     GRID_STEPS,
     NON_DUPLICATE,
-    FailureRecord,
     LabeledPair,
     TuningResult,
     pair_features,
@@ -232,3 +233,61 @@ def window_records(
     now = now or datetime.datetime.now(datetime.timezone.utc)
     horizon = now - datetime.timedelta(days=days)
     return [record for record in ordered if record.creation_time >= horizon]
+
+
+_MATCH, _SKIP_A, _SKIP_B = 0, 1, 2
+
+
+def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[MatchedPair]:
+    """Align the two sequences on a longest common component subsequence.
+
+    Among maximum-length alignments the one minimizing the summed position
+    pairs is chosen, breaking remaining ties toward matching earlier, so
+    the alignment leans toward the top of the stack and is deterministic.
+    Disjoint sequences yield an empty list.
+
+    The pair is matched in a canonical orientation and mirrored back:
+    residual ties after the cost rule would otherwise resolve differently
+    for (a, b) and (b, a), and scoring must be symmetric.
+    """
+    key_a = tuple((occ.component, occ.functions) for occ in seq_a.occurrences)
+    key_b = tuple((occ.component, occ.functions) for occ in seq_b.occurrences)
+    if key_b < key_a:
+        return [
+            MatchedPair(pair.component, pair.pos_b, pair.pos_a, pair.dist)
+            for pair in lcs_match(seq_b, seq_a)
+        ]
+    names_a = [occ.component for occ in seq_a.occurrences]
+    names_b = [occ.component for occ in seq_b.occurrences]
+    la, lb = len(names_a), len(names_b)
+    # suffix DP over (length, cost): maximize length, then minimize cost,
+    # cost being the sum of pos_a + pos_b over matched pairs
+    length = [[0] * (lb + 1) for _ in range(la + 1)]
+    cost = [[0] * (lb + 1) for _ in range(la + 1)]
+    move = [[_SKIP_A] * (lb + 1) for _ in range(la + 1)]
+    for i in range(la - 1, -1, -1):
+        for j in range(lb - 1, -1, -1):
+            best_len, best_cost, best_move = length[i + 1][j], cost[i + 1][j], _SKIP_A
+            if length[i][j + 1] > best_len or (
+                length[i][j + 1] == best_len and cost[i][j + 1] < best_cost
+            ):
+                best_len, best_cost, best_move = length[i][j + 1], cost[i][j + 1], _SKIP_B
+            if names_a[i] == names_b[j]:
+                m_len = length[i + 1][j + 1] + 1
+                m_cost = cost[i + 1][j + 1] + i + j
+                if m_len > best_len or (m_len == best_len and m_cost <= best_cost):
+                    best_len, best_cost, best_move = m_len, m_cost, _MATCH
+            length[i][j], cost[i][j], move[i][j] = best_len, best_cost, best_move
+    matched: list[MatchedPair] = []
+    i = j = 0
+    while i < la and j < lb:
+        if move[i][j] == _MATCH:
+            dist = component_distance(seq_a.occurrences[i], seq_b.occurrences[j])
+            matched.append(MatchedPair(names_a[i], i, j, dist))
+            i += 1
+            j += 1
+        elif move[i][j] == _SKIP_A:
+            i += 1
+        else:
+            j += 1
+    return matched

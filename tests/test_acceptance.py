@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from kdetector.detector import Detector, FailureStore, RecencyWindow, render_report
+from kdetector.detector import Detector, FailureRecord, FailureStore, RecencyWindow, render_report
 from kdetector.dump_parser import parse_dump
 from kdetector.knowledge_miner import (
     dump_component_map,
@@ -36,14 +36,14 @@ from kdetector.similarity import (
     score_features,
     similarity,
 )
-from kdetector.stopwords import derive_stop_words, filter_stop_words, precision_curve
+from kdetector.stopwords import derive_stop_words, filter_stop_words
 from kdetector.synth import CorpusSpec, generate_corpus, write_corpus
 from kdetector.trainer import (
     DUPLICATE,
     NON_DUPLICATE,
-    FailureRecord,
     build_groups,
     compute_auc,
+    precision_curve,
     score_pairs,
     tune_parameters,
 )
@@ -56,8 +56,7 @@ def _pass(label: str, detail: str = "") -> None:
 
 def _sequence(entries, dump_id=""):
     occurrences = tuple(
-        ComponentOccurrence(component, position, tuple(functions))
-        for position, (component, functions) in enumerate(entries)
+        ComponentOccurrence(component, tuple(functions)) for component, functions in entries
     )
     return ComponentSequence(dump_id, occurrences)
 

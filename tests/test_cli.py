@@ -204,3 +204,40 @@ def test_import_cli_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("option,value", [("--last-k", "-1"), ("--window-days", "-3")])
+def test_negative_detect_window_is_usage_error(workspace, capsys, option, value):
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    dump = workspace / "corpus" / "dumps" / "d000_0.dump"
+    store = workspace / "store-neg"
+    common = [*pipeline_args(workspace), "--store", store, "--params", workspace / "params.txt"]
+    code, out, err = run(capsys, "detect", dump, *common, option, value, "--bind")
+    assert code == 1
+    assert option in err and out == ""
+    assert not store.exists()
+    # zero stays valid: an empty window
+    code, out, _ = run(capsys, "detect", dump, *common, option, "0")
+    assert code == 0
+    assert json.loads(out)["candidates_considered"] == 0
+
+
+@pytest.mark.parametrize("option", ["--groups", "--per-group"])
+def test_empty_synth_corpus_is_usage_error(tmp_path, capsys, option):
+    code, _, err = run(capsys, "synth", "--out", tmp_path / "corpus", option, "0")
+    assert code == 1
+    assert option in err
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("bad_line", ["app::no_tab", "\tCompA", "app::f\t"])
+def test_malformed_map_line_is_data_error(workspace, capsys, bad_line):
+    cmap = workspace / "bad_map.tsv"
+    lines = (workspace / "map.tsv").read_text().splitlines()
+    cmap.write_text("\n".join([*lines[:2], bad_line, *lines[2:]]) + "\n")
+    code, _, err = run(
+        capsys, "ingest", workspace / "corpus" / "dumps" / "d000_0.dump",
+        *pipeline_args(workspace), "--map", cmap, "--store", workspace / "store-map",
+    )
+    assert code == 2
+    assert f"{cmap}:3:" in err

@@ -9,6 +9,7 @@ from kdetector.detector import (
     DUPLICATE,
     NEW,
     Detector,
+    FailureRecord,
     FailureStore,
     RecencyWindow,
     render_report,
@@ -16,7 +17,6 @@ from kdetector.detector import (
 from kdetector.errors import DuplicateDumpId, EmptyStack
 from kdetector.similarity import ModelParams
 from kdetector.stopwords import StopWordList
-from kdetector.trainer import FailureRecord
 
 from conftest import make_component_map, make_dump_text, make_sequence
 

@@ -1,0 +1,44 @@
+"""The names the benchmark harness under ``perfbench/`` looks up in the
+package still resolve, so a broken traced run fails here in a second and
+not at the end of a benchmark run. The harness is read, never changed."""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import kdetector
+import kdetector.cli
+import kdetector.detector
+import kdetector.synth
+
+from conftest import make_sequence
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_run_installs_every_span_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    saved = (kdetector.cli.main, kdetector.detector.sequence_from_text)
+    # installed() looks up every (module, name) pair in spans.TARGETS and
+    # raises AttributeError on the first one that no longer resolves
+    with spans.installed(spans.SpanRecorder()):
+        assert kdetector.cli.main is not saved[0]
+        assert kdetector.detector.sequence_from_text is not saved[1]
+    assert (kdetector.cli.main, kdetector.detector.sequence_from_text) == saved
+    sys.modules.pop("spans")
+
+
+def test_names_the_session_and_corpora_use():
+    # session.py scores pairs with kdetector.similarity(...).value
+    assert inspect.isfunction(kdetector.similarity)
+    seq = make_sequence([("A", ["f"]), ("B", ["g"])])
+    assert kdetector.similarity(seq, seq, kdetector.ModelParams(1.0, 1.0)).value == 1.0
+    # corpora.py patches these two out of synth and hashes trainer.py
+    assert callable(kdetector.synth.sample_pairs)
+    assert callable(kdetector.synth.split_pairs_by_group)
+    assert Path(kdetector.synth.__file__).with_name("trainer.py").is_file()

@@ -8,7 +8,6 @@ from kdetector.errors import ManifestSyntaxError
 from kdetector.knowledge_miner import (
     build_function_component_map,
     dump_component_map,
-    extract_function_names,
     load_component_map,
     load_function_index,
     mine_tree,
@@ -117,13 +116,13 @@ class TestTreeMining:
 
 class TestFunctionExtraction:
     def test_declarations_in_order(self):
-        assert extract_function_names("fn ns::A::f\nfn ns::g\n") == ["ns::A::f", "ns::g"]
+        assert scan_declarations("fn ns::A::f\nfn ns::g\n")[0] == ["ns::A::f", "ns::g"]
 
     def test_empty_file(self):
-        assert extract_function_names("") == []
+        assert scan_declarations("")[0] == []
 
     def test_duplicates_removed(self):
-        assert extract_function_names("fn ns::A::f\nfn ns::A::f\n") == ["ns::A::f"]
+        assert scan_declarations("fn ns::A::f\nfn ns::A::f\n")[0] == ["ns::A::f"]
 
     def test_unparseable_lines_counted(self):
         names, skipped = scan_declarations(

@@ -1,10 +1,11 @@
-"""The live scoring, tuning and edit-distance code against frozen scalar
-copies (``oracles.py``), compared with ``==``: every float must match to
-the last bit, every tuned point and threshold exactly."""
+"""The live alignment, scoring, tuning and edit-distance code against
+frozen scalar copies (``oracles.py``), compared with ``==``: every
+alignment and float must match to the last bit, every tuned point and
+threshold exactly."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from kdetector.similarity import (
     MatchedPair,
     ModelParams,
     PairFeatures,
+    lcs_match,
     match_features,
     score_features,
 )
@@ -175,3 +177,26 @@ def test_grid_scores_keep_matched_order_on_long_alignments():
     rows = _grid_scores(features)
     for k, (m, n) in enumerate(GRID):
         assert rows[k].tolist() == [oracles.score_features(f, ModelParams(m, n)) for f in features]
+
+
+# few component names and function runs, so alignments tie in length and
+# cost and the canonical orientation (``key_b < key_a``) decides the mirror
+OCCURRENCES = st.lists(
+    st.tuples(st.sampled_from("ABC"), st.lists(st.sampled_from("fg"), min_size=1, max_size=2)),
+    max_size=9,
+)
+
+
+@settings(max_examples=400)
+@given(OCCURRENCES, OCCURRENCES)
+def test_lcs_match_equals_oracle(a, b):
+    seq_a, seq_b = make_sequence(a), make_sequence(b)
+    assert lcs_match(seq_a, seq_b) == oracles.lcs_match(seq_a, seq_b)
+    assert lcs_match(seq_b, seq_a) == oracles.lcs_match(seq_b, seq_a)
+
+
+def test_lcs_match_equals_oracle_on_every_short_two_letter_pair():
+    words = [w for size in range(1, 6) for w in product("AB", repeat=size)]
+    sequences = [make_sequence([(name, ["f"]) for name in word]) for word in words]
+    for seq_a, seq_b in product(sequences, repeat=2):
+        assert lcs_match(seq_a, seq_b) == oracles.lcs_match(seq_a, seq_b)

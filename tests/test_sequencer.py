@@ -50,7 +50,6 @@ class TestToComponentSequence:
             ("CompA", ["app::A::f1", "app::A::f2"]),
             ("CompB", ["app::B::g1"]),
         ]
-        assert [o.position for o in seq.occurrences] == [0, 1]
 
     def test_unmapped_function_gets_pseudo_component(self, component_map):
         seq = to_component_sequence(frames("mystery::fn"), component_map)
@@ -73,32 +72,31 @@ class TestToComponentSequence:
         flattened = [fn for occ in seq.occurrences for fn in occ.functions]
         assert flattened == names
         assert len(seq) <= len(names)
-        assert [o.position for o in seq.occurrences] == list(range(len(seq)))
 
 
 class TestComponentDistance:
     def test_identical_lists_zero(self):
-        a = ComponentOccurrence("C", 0, ("x", "y"))
-        b = ComponentOccurrence("C", 3, ("x", "y"))
+        a = ComponentOccurrence("C", ("x", "y"))
+        b = ComponentOccurrence("C", ("x", "y"))
         assert component_distance(a, b) == 0.0
 
     def test_disjoint_singletons_one(self):
-        a = ComponentOccurrence("C", 0, ("x",))
-        b = ComponentOccurrence("C", 0, ("y",))
+        a = ComponentOccurrence("C", ("x",))
+        b = ComponentOccurrence("C", ("y",))
         assert component_distance(a, b) == 1.0
 
     def test_one_substitution_over_two(self):
         # token DP oracle: [x, y] -> [x, z] is one edit, longer run is 2
-        a = ComponentOccurrence("C", 0, ("x", "y"))
-        b = ComponentOccurrence("C", 0, ("x", "z"))
+        a = ComponentOccurrence("C", ("x", "y"))
+        b = ComponentOccurrence("C", ("x", "z"))
         assert oracle_levenshtein(("x", "y"), ("x", "z")) == 1
         assert component_distance(a, b) == 0.5
 
     def test_component_mismatch_errors(self):
         with pytest.raises(ComponentMismatch):
             component_distance(
-                ComponentOccurrence("C1", 0, ("x",)),
-                ComponentOccurrence("C2", 0, ("x",)),
+                ComponentOccurrence("C1", ("x",)),
+                ComponentOccurrence("C2", ("x",)),
             )
 
 
@@ -112,8 +110,8 @@ def test_token_levenshtein_matches_oracle(a, b):
 
 @given(TOKENS, TOKENS)
 def test_distance_symmetric_and_bounded(a, b):
-    occ_a = ComponentOccurrence("C", 0, a)
-    occ_b = ComponentOccurrence("C", 0, b)
+    occ_a = ComponentOccurrence("C", a)
+    occ_b = ComponentOccurrence("C", b)
     d = component_distance(occ_a, occ_b)
     assert d == component_distance(occ_b, occ_a)
     assert 0.0 <= d <= 1.0

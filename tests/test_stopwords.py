@@ -13,10 +13,8 @@ from kdetector.stopwords import (
     filter_stop_words,
     format_stop_words,
     parse_stop_words,
-    plateau_cutoff,
-    precision_curve,
 )
-from kdetector.trainer import DUPLICATE, NON_DUPLICATE, LabeledPair
+from kdetector.trainer import DUPLICATE, NON_DUPLICATE, LabeledPair, precision_curve
 
 from conftest import make_component_map, make_dump_text
 
@@ -161,24 +159,6 @@ class TestPrecisionCurve:
         baseline = precision_curve(pairs, frames, cmap, unfiltered, params, lengths=[0])
         curve = precision_curve(pairs, frames, cmap, stop_list, params, lengths=[0])
         assert curve == baseline
-
-
-class TestPlateau:
-    def test_first_flat_window_wins(self):
-        curve = [(0, 0.5), (1, 0.5), (2, 0.9), (3, 0.9005), (4, 0.9), (5, 0.9)]
-        assert plateau_cutoff(curve) == 2
-
-    def test_gain_beyond_window_ignored(self):
-        curve = [(0, 0.5), (1, 0.9), (2, 0.9)]
-        assert plateau_cutoff(curve) == 1
-
-    def test_rising_curve_falls_back_to_last(self):
-        curve = [(0, 0.1), (1, 0.2), (2, 0.3)]
-        assert plateau_cutoff(curve) == 2
-
-    def test_empty_curve_errors(self):
-        with pytest.raises(ValueError):
-            plateau_cutoff([])
 
 
 def test_file_round_trip():

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 import oracles
 from kdetector.cli import main
-from kdetector.detector import FailureStore, RecencyWindow
+from kdetector.detector import FailureRecord, FailureStore, RecencyWindow, record_to_json
 from kdetector.errors import DuplicateDumpId, MalformedRecord, UnsafeDumpId
-from kdetector.trainer import FailureRecord, record_to_json
 
 from conftest import make_dump_text, make_sequence
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kdetector.detector import FailureRecord, record_from_json, record_to_json
 from kdetector.errors import DegenerateSet
 from kdetector.trainer import (
     DUPLICATE,
     NON_DUPLICATE,
-    FailureRecord,
     LabeledPair,
     best_f1_threshold,
     build_groups,
@@ -21,11 +21,8 @@ from kdetector.trainer import (
     format_params,
     parse_pairs,
     parse_params,
-    record_from_json,
-    record_to_json,
     sample_pairs,
     score_pairs,
-    select_threshold,
     split_pairs_by_group,
     tune_parameters,
 )
@@ -348,13 +345,6 @@ class TestThreshold:
     def test_degenerate_errors(self):
         with pytest.raises(DegenerateSet):
             best_f1_threshold([(0.5, DUPLICATE)])
-
-    def test_select_threshold_over_sequences(self):
-        pairs, sequences = top_heavy_training_setup()
-        params = ModelParams(1.0, 1.0)
-        threshold = select_threshold(pairs, sequences, params)
-        scored = score_pairs(pairs, sequences, params)
-        assert threshold == best_f1_threshold(scored)
 
 
 class TestSplit:

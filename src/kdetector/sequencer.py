@@ -11,6 +11,7 @@ distance in the package, which also serves the character-level baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Sequence
 
 from .dump_parser import StackFrame
@@ -31,7 +32,13 @@ class ComponentOccurrence:
 
 @dataclass(frozen=True)
 class ComponentSequence:
-    """Ordered component occurrences; position 0 is the top of the stack."""
+    """Ordered component occurrences; position 0 is the top of the stack.
+
+    ``names`` and ``key`` are built on first use and kept in the instance
+    dict (``cached_property`` writes there, past the frozen ``__setattr__``),
+    so a stored sequence compared with many queries builds them once, and
+    loading one that is never compared builds neither.
+    """
 
     dump_id: str
     occurrences: tuple[ComponentOccurrence, ...]
@@ -39,8 +46,19 @@ class ComponentSequence:
     def __len__(self) -> int:
         return len(self.occurrences)
 
-    def components(self) -> tuple[str, ...]:
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The component name of each occurrence, in order."""
         return tuple(occ.component for occ in self.occurrences)
+
+    @cached_property
+    def key(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """``(component, functions)`` per occurrence; orders a pair for
+        :func:`~kdetector.similarity.lcs_match`."""
+        return tuple((occ.component, occ.functions) for occ in self.occurrences)
+
+    def components(self) -> tuple[str, ...]:
+        return self.names
 
 
 def to_component_sequence(

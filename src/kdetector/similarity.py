@@ -14,6 +14,11 @@ should compute :func:`match_features` once per pair and re-score with
 :func:`score_features`; :func:`similarity` is the one-shot form. The two
 baseline comparators used for benchmarking (character-level edit distance
 and top-of-stack prefix match) live here as well.
+
+The alignment (:func:`lcs_match`) fills one table of packed
+``(length, cost)`` values and walks it once. The value does not depend on
+which sequence comes first; only a tie between skipping either
+sequence's element does, and the pair's orientation decides it.
 """
 
 from __future__ import annotations
@@ -78,22 +83,19 @@ def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[Matche
     the alignment leans toward the top of the stack and is deterministic.
     Disjoint sequences yield an empty list.
 
-    The pair is matched in a canonical orientation and mirrored back:
-    residual ties after the cost rule would otherwise resolve differently
-    for (a, b) and (b, a), and scoring must be symmetric.
+    One table of packed ``(length, cost)`` values serves both argument
+    orders, because that value is symmetric in the two sequences. What is
+    not symmetric is the tie between skipping ``a[i]`` and skipping
+    ``b[j]`` when both keep the best value: the walk skips the element of
+    the sequence with the smaller ``key``, so ``(a, b)`` and ``(b, a)``
+    give the same pairs and scoring is symmetric.
     """
-    key_a = tuple((occ.component, occ.functions) for occ in seq_a.occurrences)
-    key_b = tuple((occ.component, occ.functions) for occ in seq_b.occurrences)
-    if key_b < key_a:
-        return [
-            MatchedPair(pair.component, pair.pos_b, pair.pos_a, pair.dist)
-            for pair in lcs_match(seq_b, seq_a)
-        ]
-    names_a = [occ.component for occ in seq_a.occurrences]
-    names_b = [occ.component for occ in seq_b.occurrences]
+    names_a, names_b = seq_a.names, seq_b.names
     la, lb = len(names_a), len(names_b)
-    # suffix DP over (length, cost): maximize length, then minimize cost,
-    # cost being the sum of pos_a + pos_b over matched pairs.
+    # suffix DP over length * span - cost: maximize length, then minimize
+    # cost, the sum of pos_a + pos_b over matched pairs. At most min(la, lb)
+    # pairs cost at most la + lb - 2 each, so every cost is below span and
+    # the packing is exact at any length.
     #
     # When names_a[i] == names_b[j], matching (i, j) always wins. Take any
     # alignment of the suffixes that skips a[i] or b[j]. With no match it
@@ -101,31 +103,33 @@ def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[Matche
     # has i' >= i, j' >= j and i' + j' > i + j; replacing that match by
     # (i, j) keeps the alignment valid and its length, and lowers its cost
     # strictly. So no skip move is as long and as cheap as the match.
-    length = [[0] * (lb + 1) for _ in range(la + 1)]
-    cost = [[0] * (lb + 1) for _ in range(la + 1)]
+    span = (la + lb) * min(la, lb) + 1
+    rows = [[0] * (lb + 1) for _ in range(la + 1)]
     for i in range(la - 1, -1, -1):
-        len_i, len_down = length[i], length[i + 1]
-        cost_i, cost_down = cost[i], cost[i + 1]
+        row, down, name = rows[i], rows[i + 1], names_a[i]
+        best = 0  # row[j + 1], the value of skipping b[j]
         for j in range(lb - 1, -1, -1):
-            if names_a[i] == names_b[j]:
-                len_i[j] = len_down[j + 1] + 1
-                cost_i[j] = cost_down[j + 1] + i + j
-            elif len_i[j + 1] > len_down[j] or (
-                len_i[j + 1] == len_down[j] and cost_i[j + 1] < cost_down[j]
-            ):  # skipping b[j] is longer or cheaper than skipping a[i]
-                len_i[j], cost_i[j] = len_i[j + 1], cost_i[j + 1]
-            else:
-                len_i[j], cost_i[j] = len_down[j], cost_down[j]
+            if name == names_b[j]:
+                best = down[j + 1] + span - i - j
+            elif down[j] > best:
+                best = down[j]
+            row[j] = best
+    mirrored = seq_b.key < seq_a.key
+    occ_a, occ_b = seq_a.occurrences, seq_b.occurrences
     matched: list[MatchedPair] = []
     i = j = 0
     while i < la and j < lb:
         if names_a[i] == names_b[j]:
-            dist = component_distance(seq_a.occurrences[i], seq_b.occurrences[j])
-            matched.append(MatchedPair(names_a[i], i, j, dist))
+            matched.append(MatchedPair(names_a[i], i, j, component_distance(occ_a[i], occ_b[j])))
             i += 1
             j += 1
-        elif length[i][j] == length[i + 1][j] and cost[i][j] == cost[i + 1][j]:
-            i += 1  # skipping a[i] keeps the best value; it wins a tie of skips
+        elif mirrored:  # a tie of skips goes to b[j]
+            if rows[i][j] == rows[i][j + 1]:
+                j += 1
+            else:
+                i += 1
+        elif rows[i][j] == rows[i + 1][j]:  # a tie of skips goes to a[i]
+            i += 1
         else:
             j += 1
     return matched
@@ -175,7 +179,19 @@ def baseline_edit_distance(stack_a: str, stack_b: str) -> float:
     longest = max(len(stack_a), len(stack_b))
     if longest == 0:
         return 1.0
-    return 1.0 - levenshtein(stack_a, stack_b) / longest
+    # a shared prefix and suffix need no edits, so only the middles go
+    # through levenshtein; the distance is the same
+    prefix = 0
+    for char_a, char_b in zip(stack_a, stack_b):
+        if char_a != char_b:
+            break
+        prefix += 1
+    end_a, end_b = len(stack_a), len(stack_b)
+    while end_a > prefix and end_b > prefix and stack_a[end_a - 1] == stack_b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    distance = levenshtein(stack_a[prefix:end_a], stack_b[prefix:end_b])
+    return 1.0 - distance / longest
 
 
 def baseline_prefix_match(names_a: list[str], names_b: list[str]) -> float:

@@ -4,8 +4,9 @@ Verbatim copies of the scalar scoring, AUC, F1-threshold, grid-search and
 edit-distance code that the array-based tuner and the bit-parallel edit
 distance replaced, of the failure store's record scans that its in-memory
 index replaced (there as methods over ``self._records``, here as functions
-over a record list), and of ``lcs_match`` with its move table, before the
-match move became unconditional. ``test_oracles.py`` and
+over a record list), of ``lcs_match`` with its move table, before the
+match move became unconditional, and of ``trainer.sample_pairs``, which
+lists every candidate negative before drawing. ``test_oracles.py`` and
 ``test_store_index.py`` check the live versions against them for exact
 equality. Do not edit these to follow the live code: they define the
 outputs the live code must keep.
@@ -14,7 +15,10 @@ outputs the live code must keep.
 from __future__ import annotations
 
 import datetime
+import itertools
+import logging
 import math
+import random
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -291,3 +295,51 @@ def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[Matche
         else:
             j += 1
     return matched
+
+
+logger = logging.getLogger(__name__)
+
+
+def sample_pairs(
+    groups: list[set[int]],
+    records: Sequence[FailureRecord],
+    rng: random.Random | None = None,
+    require_same_top: bool = True,
+) -> list[LabeledPair]:
+    """Positive pairs from within groups, hard negatives from across them.
+
+    Negatives are drawn uniformly without replacement from cross-group
+    pairs whose records share a top component (any cross-group pair with
+    ``require_same_top=False``), until they balance the positives; when
+    fewer candidates exist, all of them are returned and a warning is
+    logged.
+    """
+    rng = rng or random.Random(0)
+    by_bug = {record.bug_id: record for record in records}
+    positives: list[LabeledPair] = []
+    group_of: dict[int, int] = {}
+    for idx, group in enumerate(groups):
+        members = sorted(group)
+        for bug in members:
+            group_of[bug] = idx
+        for a, b in itertools.combinations(members, 2):
+            positives.append(
+                LabeledPair(by_bug[a].dump_id, by_bug[b].dump_id, DUPLICATE)
+            )
+    ordered = sorted(records, key=lambda r: r.bug_id)
+    candidates: list[LabeledPair] = []
+    for a, b in itertools.combinations(ordered, 2):
+        if group_of[a.bug_id] == group_of[b.bug_id]:
+            continue
+        if not require_same_top or a.top_component == b.top_component:
+            candidates.append(LabeledPair(a.dump_id, b.dump_id, NON_DUPLICATE))
+    if len(candidates) < len(positives):
+        logger.warning(
+            "insufficient negatives: %d candidates for %d positives",
+            len(candidates),
+            len(positives),
+        )
+        negatives = candidates
+    else:
+        negatives = rng.sample(candidates, len(positives))
+    return positives + negatives

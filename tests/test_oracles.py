@@ -5,19 +5,23 @@ threshold exactly."""
 
 from __future__ import annotations
 
+import datetime
+import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from kdetector.detector import FailureRecord
 from kdetector.errors import DegenerateSet
 from kdetector.sequencer import levenshtein
 from kdetector.similarity import (
     MatchedPair,
     ModelParams,
     PairFeatures,
+    baseline_edit_distance,
     lcs_match,
     match_features,
     score_features,
@@ -31,6 +35,7 @@ from kdetector.trainer import (
     best_f1_threshold,
     compute_auc,
     format_grid_report,
+    sample_pairs,
     tune_parameters,
 )
 
@@ -165,6 +170,20 @@ def test_token_levenshtein_equals_oracle(a, b):
     assert levenshtein(a, b) == oracles.token_levenshtein(a, b)
 
 
+# a small alphabet makes the middles overlap the shared ends, so a strip
+# that ran past the shorter string, or counted one character twice, shows
+ENDS = st.one_of(TEXT, st.text(alphabet="ab\n", max_size=12))
+
+
+@given(ENDS, ENDS, ENDS, ENDS)
+def test_baseline_edit_distance_equals_oracle_on_shared_ends(prefix, mid_a, mid_b, suffix):
+    a, b = prefix + mid_a + suffix, prefix + mid_b + suffix
+    longest = max(len(a), len(b))
+    expected = 1.0 - oracles.levenshtein(a, b) / longest if longest else 1.0
+    assert baseline_edit_distance(a, b) == expected
+    assert baseline_edit_distance(b, a) == expected
+
+
 def test_grid_scores_keep_matched_order_on_long_alignments():
     # sixteen or more terms: a blocked or pairwise reduction would regroup them
     features = [
@@ -200,3 +219,63 @@ def test_lcs_match_equals_oracle_on_every_short_two_letter_pair():
     sequences = [make_sequence([(name, ["f"]) for name in word]) for word in words]
     for seq_a, seq_b in product(sequences, repeat=2):
         assert lcs_match(seq_a, seq_b) == oracles.lcs_match(seq_a, seq_b)
+
+
+# 20-40 occurrences a side over the same few names: long alignments full
+# of ties, where a packed (length, cost) value needs its full span
+LONG_OCCURRENCES = st.lists(
+    st.tuples(st.sampled_from("ABC"), st.lists(st.sampled_from("fg"), min_size=1, max_size=2)),
+    min_size=20,
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LONG_OCCURRENCES, LONG_OCCURRENCES)
+def test_lcs_match_equals_oracle_on_long_sequences(a, b):
+    seq_a, seq_b = make_sequence(a), make_sequence(b)
+    assert lcs_match(seq_a, seq_b) == oracles.lcs_match(seq_a, seq_b)
+    assert lcs_match(seq_b, seq_a) == oracles.lcs_match(seq_b, seq_a)
+
+
+EPOCH = datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc)
+
+
+@st.composite
+def grouped_records(draw):
+    """Records with distinct bug ids in any order, and a partition of them
+    into groups; top components are drawn apart from the groups, so a group
+    often spans several."""
+    bug_ids = draw(st.lists(st.integers(1, 60), min_size=1, max_size=14, unique=True))
+    records = [
+        FailureRecord(bug, f"dump-{bug}", "", EPOCH, None, draw(st.sampled_from("XYZ")))
+        for bug in bug_ids
+    ]
+    groups: dict[int, set[int]] = {}
+    for bug in bug_ids:
+        groups.setdefault(draw(st.integers(0, 4)), set()).add(bug)
+    return draw(st.permutations(list(groups.values()))), records
+
+
+def _grouped(tops_by_group: list[list[str]]):
+    records, groups, bug = [], [], 1
+    for tops in tops_by_group:
+        groups.append(set(range(bug, bug + len(tops))))
+        for top in tops:
+            records.append(FailureRecord(bug, f"dump-{bug}", "", EPOCH, None, top))
+            bug += 1
+    return groups, records
+
+
+@settings(max_examples=300)
+@given(grouped_records(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(_grouped([["X", "X", "X", "X"], ["X"]]), True, 0)  # fewer candidates than positives
+@example(_grouped([["X", "X", "X"], ["X"]]), True, 0)  # as many candidates as positives
+@example(_grouped([["X", "Y"], ["Y", "X"], ["X", "Y"]]), True, 3)  # groups span two tops
+@example(_grouped([["X", "X"], ["Y"], ["Z"]]), False, 5)
+def test_sample_pairs_equals_oracle(data, require_same_top, seed):
+    groups, records = data
+    live_rng, frozen_rng = random.Random(seed), random.Random(seed)
+    live = sample_pairs(groups, records, live_rng, require_same_top)
+    assert live == oracles.sample_pairs(groups, records, frozen_rng, require_same_top)
+    assert live_rng.getstate() == frozen_rng.getstate()

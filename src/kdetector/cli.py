@@ -64,7 +64,9 @@ def build_parser(config: dict | None = None) -> _Parser:
     config = config or {}
 
     def dflt(key: str, fallback):
-        return config.get(key, fallback)
+        # as text, so the option's own type checks a config value too
+        value = config.get(key, fallback)
+        return str(value) if key in config and value is not None else value
 
     parser = _Parser(prog="kdetector", description=__doc__)
     parser.add_argument("--config", help="JSON file with default option values")
@@ -145,8 +147,8 @@ def _load_map(args) -> ComponentMap:
 
 
 def _at_least(option: str, value, floor: int) -> None:
-    """Usage error unless the option's value is unset or at least floor."""
-    if value is not None and value < floor:
+    """Usage error unless the option's value is unset or at least floor (NaN is not)."""
+    if value is not None and not value >= floor:
         raise UsageError(f"argument {option}: must be at least {floor}, got {value}")
 
 
@@ -277,6 +279,9 @@ def _cmd_detect(args) -> int:
 def _cmd_synth(args) -> int:
     _at_least("--groups", args.groups, 1)
     _at_least("--per-group", args.per_group, 1)
+    _at_least("--components", args.components, 1)
+    _at_least("--top-pool", args.top_pool, 1)
+    _at_least("--functions-per-component", args.functions_per_component, 1)
     spec = CorpusSpec(
         groups=args.groups,
         per_group=args.per_group,
@@ -307,6 +312,8 @@ def main(argv=None) -> int:
             if at == len(argv):
                 raise UsageError("argument --config: expected one argument")
             config = json.loads(Path(argv[at]).read_text())
+            if not isinstance(config, dict):
+                raise UsageError(f"argument --config: {argv[at]} is not a JSON object")
         parser = build_parser(config)
         args = parser.parse_args(argv)
         return args.func(args)

@@ -11,14 +11,13 @@ bindings stay stable as groups grow), anything else files a new bug.
 
 The store keeps an index in memory; the files on disk are the same with or
 without it. Opening a store of n records parses each line once and builds a
-dump-id set and the running maximum bug id, so ``has_dump`` is one set
-lookup and ``next_bug_id`` is that maximum plus one. The first windowed
-query sorts the records by ``(creation_time, bug_id)`` once (O(n log n));
-after that a days window is one bisect plus a slice, ``last_k`` is a slice,
-and ``append`` inserts in place. The first ``canonical_bug`` builds a
-union-find over the ``dupe_of`` edges (O(n)); after that it is one ``find``,
-and ``append`` adds the new record's edges. An edge whose target is not
-stored yet waits until that bug id arrives.
+dump-id set, the running maximum bug id, the records sorted by
+``(creation_time, bug_id)`` (O(n log n)) and a union-find over the
+``dupe_of`` edges (O(n)). So ``has_dump`` is one set lookup, ``next_bug_id``
+is that maximum plus one, a days window is one bisect plus a slice,
+``last_k`` is a slice and ``canonical_bug`` is one ``find``; ``append``
+inserts the new record in time order and links its edge. An edge whose
+target is not stored yet waits until that bug id arrives.
 """
 
 from __future__ import annotations
@@ -121,18 +120,28 @@ def record_from_json(line: str) -> FailureRecord:
 class UnionFind:
     """Disjoint sets over orderable items, with path compression.
 
-    ``union`` keeps the smaller root, so ``find`` returns the smallest item
-    of the item's set.
+    ``link`` adds an item and joins it to a target; an edge whose target has
+    not been linked yet waits in ``waiting`` until it is. The smaller root
+    wins each union, so ``find`` returns the smallest item of the item's set.
     """
 
     def __init__(self) -> None:
         self.parent: dict = {}
+        self.waiting: dict = {}  # target not linked yet -> items joined to it
 
-    def add(self, item) -> None:
+    def link(self, item, target=None) -> None:
+        """Add ``item``, join the items waiting for it, then join it to
+        ``target`` now or, if ``target`` is not linked yet, once it is."""
         self.parent.setdefault(item, item)
+        for child in self.waiting.pop(item, ()):
+            self._union(child, item)
+        if target in self.parent:
+            self._union(item, target)
+        elif target is not None:
+            self.waiting.setdefault(target, []).append(item)
 
     def find(self, item):
-        self.add(item)
+        """Smallest item of ``item``'s set; ``KeyError`` if it was never linked."""
         root = item
         while self.parent[root] != root:
             root = self.parent[root]
@@ -140,7 +149,7 @@ class UnionFind:
             self.parent[item], item = root, self.parent[item]
         return root
 
-    def union(self, a, b) -> None:
+    def _union(self, a, b) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
@@ -174,8 +183,8 @@ class FailureStore:
     """Append-only record + sequence store backed by a directory.
 
     The index lives in memory. Open parses ``bugs.ndjson`` into the dump-id
-    set and the running maximum bug id; the time order and the union-find
-    are built on first use and then kept current by ``append``.
+    set, the running maximum bug id, the time order and the union-find;
+    ``append`` keeps all four current.
     """
 
     def __init__(self, root: Path | str):
@@ -197,12 +206,10 @@ class FailureStore:
                 raise MalformedRecord(f"{path}:{number}: {exc}") from exc
         self._dump_ids = {record.dump_id for record in self._records}
         self._max_bug_id = max((record.bug_id for record in self._records), default=None)
-        # built on first use: records in (creation_time, bug_id) order
-        self._ordered: list[FailureRecord] | None = None
-        # built on first use: dupe_of groups, plus the edges whose target is
-        # not stored yet, keyed by that target
-        self._groups: UnionFind | None = None
-        self._pending: dict[int, list[int]] = {}
+        self._ordered = sorted(self._records, key=_time_key)
+        self._groups = UnionFind()  # dupe_of groups
+        for record in self._records:
+            self._groups.link(record.bug_id, record.dupe_of)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -227,10 +234,6 @@ class FailureStore:
 
     def canonical_bug(self, bug_id: int) -> int:
         """Smallest bug id in the union-find group along dupe_of edges."""
-        if self._groups is None:
-            self._groups = UnionFind()
-            for record in self._records:
-                self._link(record)
         if bug_id not in self._groups.parent:
             raise ValueError(f"bug {bug_id} is not in the store")
         return self._groups.find(bug_id)
@@ -239,14 +242,15 @@ class FailureStore:
         self, window: RecencyWindow, now: datetime.datetime | None = None
     ) -> list[FailureRecord]:
         """Records inside the window, ordered by (creation_time, bug_id)."""
-        if self._ordered is None:
-            self._ordered = sorted(self._records, key=_time_key)
         if window.last_k is not None:
             return self._ordered[-window.last_k :] if window.last_k > 0 else []
         if window.days is None:
             return self._ordered[:]
         now = now or datetime.datetime.now(datetime.timezone.utc)
-        horizon = now - datetime.timedelta(days=window.days)
+        try:
+            horizon = now - datetime.timedelta(days=window.days)
+        except OverflowError:  # the horizon falls before datetime.min
+            return self._ordered[:]
         # (horizon,) sorts before every key whose time is horizon
         start = bisect.bisect_left(self._ordered, (horizon,), key=_time_key)
         return self._ordered[start:]
@@ -267,24 +271,9 @@ class FailureStore:
         self._dump_ids.add(record.dump_id)
         if self._max_bug_id is None or record.bug_id > self._max_bug_id:
             self._max_bug_id = record.bug_id
-        if self._ordered is not None:
-            # after equal keys, where a stable sort of all records puts it
-            bisect.insort_right(self._ordered, record, key=_time_key)
-        if self._groups is not None:
-            self._link(record)
-
-    def _link(self, record: FailureRecord) -> None:
-        """Add the record's bug id and every dupe_of edge it completes."""
-        groups = self._groups
-        groups.add(record.bug_id)
-        for child in self._pending.pop(record.bug_id, ()):
-            groups.union(child, record.bug_id)
-        if record.dupe_of is None:
-            return
-        if record.dupe_of in groups.parent:
-            groups.union(record.bug_id, record.dupe_of)
-        else:
-            self._pending.setdefault(record.dupe_of, []).append(record.bug_id)
+        # after equal keys, where a stable sort of all records puts it
+        bisect.insort_right(self._ordered, record, key=_time_key)
+        self._groups.link(record.bug_id, record.dupe_of)
 
 
 def _check_dump_id(dump_id: str) -> None:

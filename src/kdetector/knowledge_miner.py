@@ -33,7 +33,6 @@ _QNAME_RE = re.compile(r"^~?[A-Za-z_][A-Za-z0-9_]*(?:::~?[A-Za-z_][A-Za-z0-9_]*)
 class ComponentManifest:
     """Directives found in one directory's manifest."""
 
-    directory: str
     default_component: str | None
     file_overrides: dict[str, str]
 
@@ -124,8 +123,7 @@ def _parse_manifest(text: str, path: str) -> tuple[ComponentManifest, list[str]]
                         f"{path}: file {file_name} overridden more than once, last wins"
                     )
                 overrides[file_name] = name
-    directory = str(Path(path).parent) if path else "."
-    return ComponentManifest(directory, default, overrides), warnings
+    return ComponentManifest(default, overrides), warnings
 
 
 def _find_close(text: str, start: int) -> int:
@@ -141,7 +139,7 @@ def _find_close(text: str, start: int) -> int:
 
 def parse_component_manifests(
     root: Path | str,
-) -> tuple[list[ComponentManifest], dict[str, str], MiningReport]:
+) -> tuple[dict[str, str], MiningReport]:
     """Walk the tree breadth-first and assign every file to a component.
 
     A file takes its own directory's override if any, else the default of
@@ -149,7 +147,6 @@ def parse_component_manifests(
     Files with neither are collected in the report, not errored.
     """
     root = Path(root)
-    manifests: list[ComponentManifest] = []
     file_map: dict[str, str] = {}
     report = MiningReport()
     queue: deque[tuple[Path, str | None]] = deque([(root, None)])
@@ -160,8 +157,6 @@ def parse_component_manifests(
         if manifest_path.is_file():
             rel = manifest_path.relative_to(root).as_posix()
             manifest, warnings = _parse_manifest(manifest_path.read_text(), rel)
-            manifest.directory = directory.relative_to(root).as_posix() or "."
-            manifests.append(manifest)
             report.warnings.extend(warnings)
         default = manifest.default_component if manifest and manifest.default_component else inherited
         overrides = manifest.file_overrides if manifest else {}
@@ -177,7 +172,7 @@ def parse_component_manifests(
                 report.unmapped_files.append(rel)
             else:
                 file_map[rel] = component
-    return manifests, file_map, report
+    return file_map, report
 
 
 def scan_declarations(source: str) -> tuple[list[str], int]:
@@ -254,7 +249,7 @@ def mine_tree(
 ) -> tuple[ComponentMap, MiningReport]:
     """Full mining pass: manifests, declarations, optional index, compose."""
     root = Path(root)
-    _, file_map, report = parse_component_manifests(root)
+    file_map, report = parse_component_manifests(root)
     functions_by_file: dict[str, list[str]] = {}
     for rel in file_map:
         if Path(rel).suffix not in SOURCE_SUFFIXES:

@@ -57,9 +57,6 @@ class ComponentSequence:
         :func:`~kdetector.similarity.lcs_match`."""
         return tuple((occ.component, occ.functions) for occ in self.occurrences)
 
-    def components(self) -> tuple[str, ...]:
-        return self.names
-
 
 def to_component_sequence(
     frames: list[StackFrame], cmap: ComponentMap, dump_id: str = ""

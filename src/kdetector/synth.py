@@ -28,6 +28,9 @@ from .trainer import (
 SCAFFOLD_COMPONENT = "Runtime"
 
 _RETURNS = ["void", "int", "bool", "long"]
+# generate_corpus gives up after this many draws in a row that repeat an
+# earlier base stack: the spec most likely has fewer distinct stacks than groups
+MAX_REPEAT_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -197,11 +200,17 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
 
     bases: list[list[str]] = []
     seen: set[tuple[str, ...]] = set()
+    repeats = 0
     while len(bases) < spec.groups:
         base = _base_stack(spec, pools, rng)
         if tuple(base) not in seen:
             seen.add(tuple(base))
             bases.append(base)
+            repeats = 0
+        elif (repeats := repeats + 1) == MAX_REPEAT_DRAWS:
+            raise ValueError(
+                f"{repeats} draws in a row repeated a base stack; too few for {spec.groups} groups"
+            )
 
     start = datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc)
     dump_texts: dict[str, str] = {}

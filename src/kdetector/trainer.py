@@ -74,21 +74,14 @@ def build_groups(
 ) -> tuple[list[set[int]], list[tuple[int, int]]]:
     """Union-find partition of bug ids along dupe_of edges.
 
-    Returns the groups (sorted by their smallest bug id) and the dangling
-    edges whose dupe_of names a bug that is not in the record set; those
-    edges are skipped, not fatal.
+    Returns the groups (sorted by their smallest bug id) and, in record
+    order, the dangling edges whose dupe_of names a bug that is not in the
+    record set; those edges are skipped, not fatal.
     """
     uf = UnionFind()
-    known = {record.bug_id for record in records}
-    dangling: list[tuple[int, int]] = []
     for record in records:
-        uf.add(record.bug_id)
-        if record.dupe_of is None:
-            continue
-        if record.dupe_of not in known:
-            dangling.append((record.bug_id, record.dupe_of))
-            continue
-        uf.union(record.bug_id, record.dupe_of)
+        uf.link(record.bug_id, record.dupe_of)
+    dangling = [(r.bug_id, r.dupe_of) for r in records if r.dupe_of in uf.waiting]
     return uf.groups(), dangling
 
 

@@ -420,7 +420,7 @@ def test_criterion_9_manifest_mining(tmp_path):
     nested.mkdir(parents=True)
     (nested / "inner.cpp").write_text("fn a::deep::poke\n")
 
-    _, file_map, report = parse_component_manifests(tmp_path)
+    file_map, report = parse_component_manifests(tmp_path)
     assert file_map["File1"] == "ComponentB"
     assert file_map["File2"] == "ComponentB"
     assert file_map["engine.cpp"] == "ComponentA"

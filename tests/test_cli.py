@@ -206,7 +206,9 @@ def test_import_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("option,value", [("--last-k", "-1"), ("--window-days", "-3")])
+@pytest.mark.parametrize(
+    "option,value", [("--last-k", "-1"), ("--window-days", "-3"), ("--window-days", "nan")]
+)
 def test_negative_detect_window_is_usage_error(workspace, capsys, option, value):
     (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
     dump = workspace / "corpus" / "dumps" / "d000_0.dump"
@@ -222,12 +224,74 @@ def test_negative_detect_window_is_usage_error(workspace, capsys, option, value)
     assert json.loads(out)["candidates_considered"] == 0
 
 
-@pytest.mark.parametrize("option", ["--groups", "--per-group"])
+@pytest.mark.parametrize(
+    "option", ["--groups", "--per-group", "--components", "--top-pool", "--functions-per-component"]
+)
 def test_empty_synth_corpus_is_usage_error(tmp_path, capsys, option):
     code, _, err = run(capsys, "synth", "--out", tmp_path / "corpus", option, "0")
     assert code == 1
     assert option in err
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("days", ["inf", "1e10", "1e6"])
+def test_days_window_reaching_before_datetime_min_holds_every_record(workspace, capsys, days):
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    dumps = workspace / "corpus" / "dumps"
+    common = [*pipeline_args(workspace), "--store", workspace / "store-far"]
+    for name in ("d000_0", "d001_0"):
+        assert run(capsys, "ingest", dumps / f"{name}.dump", *common)[0] == 0
+    code, out, _ = run(
+        capsys, "detect", dumps / "d002_0.dump", *common,
+        "--params", workspace / "params.txt", "--window-days", days,
+    )
+    assert code == 0
+    assert json.loads(out)["candidates_considered"] == 2
+
+
+def test_synth_spec_with_too_few_distinct_stacks_is_data_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "synth", "--out", tmp_path / "corpus", "--components", "1",
+        "--functions-per-component", "1", "--groups", "3",
+    )
+    assert code == 2
+    assert "repeated a base stack" in err
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ([1], ["synth", "--out", "corpus"]),
+        ({"per_group": 2.5}, ["synth", "--out", "corpus"]),
+        ({"groups": [2]}, ["synth", "--out", "corpus"]),
+        ({"last_k": 2.5}, ["detect", "corpus/dumps/d000_0.dump"]),
+    ],
+)
+def test_bad_config_is_usage_error(workspace, capsys, monkeypatch, config, argv):
+    monkeypatch.chdir(workspace)
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    (workspace / "config.json").write_text(json.dumps(config))
+    common = [*pipeline_args(workspace), "--params", "params.txt"] if argv[0] == "detect" else []
+    code, out, err = run(capsys, "--config", "config.json", *argv, *common)
+    assert code == 1
+    assert err.startswith("usage error: ") and out == ""
+    assert not (workspace / "store").exists()
+
+
+def test_numeric_config_values_still_apply(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    dumps = workspace / "corpus" / "dumps"
+    for name in ("d000_0", "d001_0"):
+        assert run(capsys, "ingest", dumps / f"{name}.dump", *pipeline_args(workspace))[0] == 0
+    (workspace / "config.json").write_text(json.dumps({"last_k": 1, "window_days": None}))
+    code, out, _ = run(
+        capsys, "--config", "config.json", "detect", dumps / "d002_0.dump",
+        *pipeline_args(workspace), "--params", "params.txt",
+    )
+    assert code == 0
+    assert json.loads(out)["candidates_considered"] == 1
 
 
 @pytest.mark.parametrize("bad_line", ["app::no_tab", "\tCompA", "app::f\t"])

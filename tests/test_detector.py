@@ -98,7 +98,7 @@ class TestIngest:
         assert rec.creation_time == datetime.datetime(
             2026, 2, 3, 4, tzinfo=datetime.timezone.utc
         )
-        assert sequence.components() == ("CompA", "CompB")
+        assert sequence.names == ("CompA", "CompB")
         assert detector.store.has_dump("dump-a")
 
     def test_reingest_same_dump_id_rejected(self, detector):

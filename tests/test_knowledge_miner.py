@@ -69,7 +69,7 @@ class TestManifestParsing:
 class TestTreeMining:
     def test_listing_fixture_assignment(self, tmp_path):
         build_listing_tree(tmp_path)
-        _, file_map, report = parse_component_manifests(tmp_path)
+        file_map, report = parse_component_manifests(tmp_path)
         assert file_map["File1"] == "ComponentB"
         assert file_map["File2"] == "ComponentB"
         assert file_map["engine.cpp"] == "ComponentA"
@@ -83,12 +83,12 @@ class TestTreeMining:
         (sub / "CMakeLists.txt").write_text('SET_COMPONENT("Sub")\n')
         (sub / "x.cpp").write_text("fn s::x\n")
         (tmp_path / "top.cpp").write_text("fn r::t\n")
-        _, file_map, _ = parse_component_manifests(tmp_path)
+        file_map, _ = parse_component_manifests(tmp_path)
         assert file_map == {"top.cpp": "Root", "sub/x.cpp": "Sub"}
 
     def test_file_without_component_reported(self, tmp_path):
         (tmp_path / "orphan.cpp").write_text("fn o::o\n")
-        _, file_map, report = parse_component_manifests(tmp_path)
+        file_map, report = parse_component_manifests(tmp_path)
         assert file_map == {}
         assert report.unmapped_files == ["orphan.cpp"]
 
@@ -97,7 +97,7 @@ class TestTreeMining:
             'SET_COMPONENT("First")\nSET_COMPONENT("Second")\n'
         )
         (tmp_path / "a.cpp").write_text("fn a::a\n")
-        _, file_map, report = parse_component_manifests(tmp_path)
+        file_map, report = parse_component_manifests(tmp_path)
         assert file_map["a.cpp"] == "Second"
         assert any("last wins" in w for w in report.warnings)
 
@@ -108,7 +108,7 @@ class TestTreeMining:
         sub = tmp_path / "sub"
         sub.mkdir()
         (sub / "stray.cpp").write_text("fn s::s\n")
-        _, file_map, _ = parse_component_manifests(tmp_path)
+        file_map, _ = parse_component_manifests(tmp_path)
         # the override names a file that only exists in a subdirectory;
         # the subdirectory file still inherits the default
         assert file_map["sub/stray.cpp"] == "Root"
@@ -217,6 +217,6 @@ def test_sibling_visit_order_does_not_matter(tmp_path):
             sub = root / name
             sub.mkdir()
             (sub / "mod.cpp").write_text(f"fn {name}::go\n")
-    _, map_a, _ = parse_component_manifests(tmp_path / "tree-aa")
-    _, map_b, _ = parse_component_manifests(tmp_path / "tree-zz")
+    map_a, _ = parse_component_manifests(tmp_path / "tree-aa")
+    map_b, _ = parse_component_manifests(tmp_path / "tree-zz")
     assert map_a == map_b

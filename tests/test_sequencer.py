@@ -60,7 +60,7 @@ class TestToComponentSequence:
         seq = to_component_sequence(
             frames("app::A::f1", "app::B::g1", "app::A::f2"), component_map
         )
-        assert seq.components() == ("CompA", "CompB", "CompA")
+        assert seq.names == ("CompA", "CompB", "CompA")
 
     def test_empty_frames_error(self, component_map):
         with pytest.raises(EmptyStack):

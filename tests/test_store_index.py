@@ -16,6 +16,7 @@ import oracles
 from kdetector.cli import main
 from kdetector.detector import FailureRecord, FailureStore, RecencyWindow, record_to_json
 from kdetector.errors import DuplicateDumpId, MalformedRecord, UnsafeDumpId
+from kdetector.trainer import build_groups
 
 from conftest import make_dump_text, make_sequence
 
@@ -118,6 +119,28 @@ def test_dangling_edge_joins_when_its_target_arrives(tmp_path):
     assert [store.canonical_bug(b) for b in (3, 5, 7)] == [3, 3, 3]
     with pytest.raises(ValueError):
         store.canonical_bug(4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(BUG_IDS, st.none() | BUG_IDS), max_size=12), st.integers(0, 12))
+@example([(5, 3), (7, 5), (3, None)], 1)  # dupe_of names a bug stored later
+@example([(5, 9), (6, 5)], 1)  # dupe_of names a bug never stored
+def test_store_groups_agree_with_build_groups(edges, reopen_at):
+    """The store and training link dupe_of through the same union-find: every
+    bug's canonical bug is the smallest bug id of its build_groups group."""
+    records = [
+        FailureRecord(bug_id, f"d{i}", "", EPOCH, None if dupe_of == bug_id else dupe_of, "CompA")
+        for i, (bug_id, dupe_of) in enumerate(edges)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = FailureStore(tmp)
+        for i, record in enumerate(records):
+            if i == reopen_at:
+                store = FailureStore(tmp)
+            store.append(record, make_sequence([("CompA", ["a::f"])], record.dump_id))
+        groups, _ = build_groups(records)
+        for group in groups:
+            assert {store.canonical_bug(bug_id) for bug_id in group} == {min(group)}
 
 
 @pytest.mark.parametrize("dump_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])

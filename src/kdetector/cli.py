@@ -311,7 +311,10 @@ def main(argv=None) -> int:
             at = argv.index("--config") + 1
             if at == len(argv):
                 raise UsageError("argument --config: expected one argument")
-            config = json.loads(Path(argv[at]).read_text())
+            try:
+                config = json.loads(Path(argv[at]).read_text())
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"argument --config: {argv[at]} is not valid JSON: {exc}") from None
             if not isinstance(config, dict):
                 raise UsageError(f"argument --config: {argv[at]} is not a JSON object")
         parser = build_parser(config)

@@ -10,14 +10,18 @@ candidate group's canonical bug id (the smallest in its union-find group, so
 bindings stay stable as groups grow), anything else files a new bug.
 
 The store keeps an index in memory; the files on disk are the same with or
-without it. Opening a store of n records parses each line once and builds a
-dump-id set, the running maximum bug id, the records sorted by
-``(creation_time, bug_id)`` (O(n log n)) and a union-find over the
-``dupe_of`` edges (O(n)). So ``has_dump`` is one set lookup, ``next_bug_id``
-is that maximum plus one, a days window is one bisect plus a slice,
-``last_k`` is a slice and ``canonical_bug`` is one ``find``; ``append``
-inserts the new record in time order and links its edge. An edge whose
-target is not stored yet waits until that bug id arrives.
+without it. Opening a store of n records decodes each line once with
+json's C scanner (accepting and rejecting what ``json.loads`` does) into a
+slotted ``FailureRecord``, then builds a dump-id set, the running maximum
+bug id, the records sorted by ``(creation_time, bug_id)`` (O(n log n)) and
+a union-find over the ``dupe_of`` edges (O(n)). So ``has_dump`` is one
+set lookup, ``next_bug_id`` is that maximum plus one, a days window is one
+bisect plus a slice, ``last_k`` is a slice and ``canonical_bug`` is one
+``find``; ``append`` inserts the new record in time order and links its
+edge. An edge whose target is not stored yet waits until that bug id
+arrives. Sequences load lazily: the first ``sequence_for`` of a dump reads
+its file with one ``open`` on a path string built from the directory
+worked out at open, and later calls return the same object.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ _PATH_CHARS = frozenset("/\\\0")  # separators and NUL
 _time_key = operator.attrgetter("creation_time", "bug_id")
 
 
-@dataclass
+@dataclass(slots=True)
 class FailureRecord:
     """One historical crash failure as tracked in the bug store."""
 
@@ -77,7 +81,8 @@ def record_to_json(record: FailureRecord) -> str:
     )
 
 
-_JSON = json.JSONDecoder()  # json.loads(line) without its per-call argument checks
+_scan_json = json.JSONDecoder().scan_once  # the C scanner behind json.loads
+_JSON_SPACE = " \t\n\r"
 
 
 def record_from_json(line: str) -> FailureRecord:
@@ -86,9 +91,18 @@ def record_from_json(line: str) -> FailureRecord:
     Raises ``MalformedRecord`` when a field has the wrong type: ``bug_id``
     must be an int (not a bool), ``dupe_of`` an int or null, ``dump_id`` a
     string and ``creation_time`` an ISO time with a UTC offset. Text that is
-    not JSON raises ``ValueError``.
+    not JSON raises ``json.JSONDecodeError`` as ``json.loads`` would: only
+    JSON whitespace may surround the value.
     """
-    data = _JSON.decode(line)
+    start = len(line) - len(line.lstrip(_JSON_SPACE))
+    try:
+        data, end = _scan_json(line, start)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
+    if end != len(line):
+        rest = line[end:].lstrip(_JSON_SPACE)
+        if rest:
+            raise json.JSONDecodeError("Extra data", line, len(line) - len(rest))
     if not isinstance(data, dict):
         raise MalformedRecord("record is not a JSON object")
     bug_id, dupe_of = data.get("bug_id"), data.get("dupe_of")
@@ -196,6 +210,7 @@ class FailureStore:
             raise StoreWriteError(f"cannot initialize store at {self.root}") from exc
         self._records: list[FailureRecord] = []
         self._sequences: dict[str, ComponentSequence] = {}
+        self._sequence_dir = str(self.root / _SEQUENCE_DIR)
         path = self.root / _RECORDS_FILE
         for number, line in enumerate(path.read_text().splitlines(), start=1):
             if not line.strip():
@@ -223,11 +238,13 @@ class FailureStore:
         return dump_id in self._dump_ids
 
     def sequence_for(self, dump_id: str) -> ComponentSequence:
-        if dump_id not in self._sequences:
+        sequence = self._sequences.get(dump_id)
+        if sequence is None:
             _check_dump_id(dump_id)
-            path = self.root / _SEQUENCE_DIR / f"{dump_id}.tsv"
-            self._sequences[dump_id] = sequence_from_text(path.read_text(), dump_id)
-        return self._sequences[dump_id]
+            with open(f"{self._sequence_dir}/{dump_id}.tsv") as fh:
+                text = fh.read()
+            sequence = self._sequences[dump_id] = sequence_from_text(text, dump_id)
+        return sequence
 
     def next_bug_id(self) -> int:
         return (self._max_bug_id or 0) + 1

@@ -5,14 +5,18 @@ occurrence; the occurrence keeps the contributing function names in frame
 order. Functions absent from the component map go to an ``UNKNOWN:<name>``
 pseudo-component, which can only ever match an occurrence of the same
 function name. Runs are compared by :func:`levenshtein`, the one edit
-distance in the package, which also serves the character-level baseline.
+distance in the package, which also serves the character-level baseline;
+:func:`component_distance` memoizes the normalized distance per pair of
+function tuples, because one detect meets the same run pairs again and
+again. Occurrences are named tuples, cheap to build when a stored
+sequence loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Hashable, Sequence
+from functools import cached_property, lru_cache
+from typing import Hashable, NamedTuple, Sequence
 
 from .dump_parser import StackFrame
 from .errors import ComponentMismatch, EmptyStack
@@ -21,10 +25,10 @@ from .knowledge_miner import ComponentMap
 UNKNOWN_PREFIX = "UNKNOWN:"
 
 
-@dataclass(frozen=True)
-class ComponentOccurrence:
+class ComponentOccurrence(NamedTuple):
     """A run of consecutive frames belonging to one component; its position
-    is its index in the sequence."""
+    is its index in the sequence. Occurrences compare as
+    ``(component, functions)`` tuples."""
 
     component: str
     functions: tuple[str, ...]
@@ -34,10 +38,11 @@ class ComponentOccurrence:
 class ComponentSequence:
     """Ordered component occurrences; position 0 is the top of the stack.
 
-    ``names`` and ``key`` are built on first use and kept in the instance
-    dict (``cached_property`` writes there, past the frozen ``__setattr__``),
-    so a stored sequence compared with many queries builds them once, and
-    loading one that is never compared builds neither.
+    ``names`` is built on first use and kept in the instance dict, so a
+    stored sequence compared with many queries builds it once, and loading
+    one that is never compared does not build it.
+    :func:`~kdetector.similarity.lcs_match` orients a pair by comparing the
+    two ``occurrences`` tuples.
     """
 
     dump_id: str
@@ -50,12 +55,6 @@ class ComponentSequence:
     def names(self) -> tuple[str, ...]:
         """The component name of each occurrence, in order."""
         return tuple(occ.component for occ in self.occurrences)
-
-    @cached_property
-    def key(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """``(component, functions)`` per occurrence; orders a pair for
-        :func:`~kdetector.similarity.lcs_match`."""
-        return tuple((occ.component, occ.functions) for occ in self.occurrences)
 
 
 def to_component_sequence(
@@ -125,9 +124,14 @@ def component_distance(a: ComponentOccurrence, b: ComponentOccurrence) -> float:
         raise ComponentMismatch(f"{a.component!r} vs {b.component!r}")
     if a.functions == b.functions:
         return 0.0
-    return levenshtein(a.functions, b.functions) / max(
-        len(a.functions), len(b.functions)
-    )
+    return _run_distance(a.functions, b.functions)
+
+
+@lru_cache(maxsize=65536)
+def _run_distance(a: tuple[str, ...], b: tuple[str, ...]) -> float:
+    """:func:`levenshtein` of two function runs over the longer run's length;
+    the same run pairs recur across the candidates of one detect."""
+    return levenshtein(a, b) / max(len(a), len(b))
 
 
 def sequence_to_text(sequence: ComponentSequence) -> str:

@@ -87,8 +87,8 @@ def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[Matche
     orders, because that value is symmetric in the two sequences. What is
     not symmetric is the tie between skipping ``a[i]`` and skipping
     ``b[j]`` when both keep the best value: the walk skips the element of
-    the sequence with the smaller ``key``, so ``(a, b)`` and ``(b, a)``
-    give the same pairs and scoring is symmetric.
+    the sequence whose ``occurrences`` tuple is smaller, so ``(a, b)`` and
+    ``(b, a)`` give the same pairs and scoring is symmetric.
     """
     names_a, names_b = seq_a.names, seq_b.names
     la, lb = len(names_a), len(names_b)
@@ -114,8 +114,8 @@ def lcs_match(seq_a: ComponentSequence, seq_b: ComponentSequence) -> list[Matche
             elif down[j] > best:
                 best = down[j]
             row[j] = best
-    mirrored = seq_b.key < seq_a.key
     occ_a, occ_b = seq_a.occurrences, seq_b.occurrences
+    mirrored = occ_b < occ_a
     matched: list[MatchedPair] = []
     i = j = 0
     while i < la and j < lb:

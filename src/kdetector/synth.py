@@ -48,6 +48,12 @@ class CorpusSpec:
     exception_depth: int = 3
     backtrace_only_every: int = 4  # every Nth dump omits the exception block
 
+    def __post_init__(self) -> None:
+        # an empty pool or group count would make generate_corpus loop forever
+        for name in ("groups", "per_group", "components", "functions_per_component", "top_pool"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass
 class SynthCorpus:

@@ -305,3 +305,13 @@ def test_malformed_map_line_is_data_error(workspace, capsys, bad_line):
     )
     assert code == 2
     assert f"{cmap}:3:" in err
+
+
+def test_config_that_is_not_valid_json_is_usage_error(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
+    (workspace / "config.json").write_text('{"groups": 2')
+    code, out, err = run(capsys, "--config", "config.json", "synth", "--out", "corpus2")
+    assert code == 1
+    assert err.startswith("usage error: argument --config: config.json is not valid JSON")
+    assert out == ""
+    assert not (workspace / "corpus2").exists()

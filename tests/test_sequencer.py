@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import datetime
+import tempfile
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from kdetector import sequencer
+from kdetector.detector import FailureRecord, FailureStore
 from kdetector.dump_parser import StackFrame
 from kdetector.errors import ComponentMismatch, EmptyStack
 from kdetector.sequencer import (
@@ -14,6 +20,7 @@ from kdetector.sequencer import (
     sequence_to_text,
     to_component_sequence,
 )
+from kdetector.similarity import lcs_match
 
 from conftest import make_component_map, make_sequence
 
@@ -126,3 +133,54 @@ def test_serialization_round_trip():
     text = sequence_to_text(seq)
     assert text.splitlines()[0] == "0\tCompA\tf1,f2"
     assert sequence_from_text(text, "d1") == seq
+
+
+@given(TOKENS, TOKENS)
+def test_memoized_distance_equals_token_levenshtein_oracle(a, b):
+    occ_a, occ_b = ComponentOccurrence("C", a), ComponentOccurrence("C", b)
+    expected = oracles.token_levenshtein(a, b) / max(len(a), len(b))
+    sequencer._run_distance.cache_clear()
+    assert component_distance(occ_a, occ_b) == expected  # cold
+    assert component_distance(occ_a, occ_b) == expected  # memoized
+    assert component_distance(occ_b, occ_a) == expected
+    assert component_distance(occ_b, occ_a) == expected
+
+
+def test_repeated_run_pair_is_served_from_the_memo():
+    sequencer._run_distance.cache_clear()
+    a, b = ComponentOccurrence("C", ("x", "y")), ComponentOccurrence("C", ("x", "z"))
+    assert component_distance(a, b) == component_distance(a, b) == 0.5
+    assert sequencer._run_distance.cache_info().hits == 1
+
+
+def test_occurrence_is_a_tuple_with_the_old_repr():
+    occ = ComponentOccurrence("C", ("x",))
+    assert occ == ("C", ("x",))
+    assert repr(occ) == "ComponentOccurrence(component='C', functions=('x',))"
+
+
+EPOCH = datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc)
+# few names and runs, so two sequences often share a prefix and only a later
+# occurrence decides their order
+STORED = st.lists(
+    st.tuples(st.sampled_from("AB"), st.lists(st.sampled_from("fg"), min_size=1, max_size=2)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(STORED, STORED)
+def test_sequence_reloaded_from_the_store_equals_and_orients_as_appended(stored, query):
+    appended = make_sequence(stored, dump_id="d1")
+    other = make_sequence(query, dump_id="q")
+    with tempfile.TemporaryDirectory() as root:
+        FailureStore(root).append(FailureRecord(1, "d1", "", EPOCH, None, "A"), appended)
+        loaded = FailureStore(root).sequence_for("d1")
+    assert loaded == appended
+    assert all(type(occ) is ComponentOccurrence for occ in loaded.occurrences)
+    key = [(occ.component, occ.functions) for occ in appended.occurrences]
+    other_key = [(occ.component, occ.functions) for occ in other.occurrences]
+    assert (other.occurrences < loaded.occurrences) == (other_key < key)
+    assert lcs_match(other, loaded) == lcs_match(other, appended)
+    assert lcs_match(loaded, other) == lcs_match(appended, other)

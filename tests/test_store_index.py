@@ -1,6 +1,7 @@
 """The failure store's in-memory index against the record scans it replaced
-(``oracles.py``), plus the store's input checks: unsafe dump ids and
-malformed ``bugs.ndjson`` lines."""
+(``oracles.py``), plus the store's input checks: unsafe dump ids,
+malformed ``bugs.ndjson`` lines, and a record decoder that accepts and
+rejects exactly the lines ``json.loads`` does."""
 
 from __future__ import annotations
 
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 import oracles
 from kdetector.cli import main
-from kdetector.detector import FailureRecord, FailureStore, RecencyWindow, record_to_json
+from kdetector.detector import (
+    FailureRecord,
+    FailureStore,
+    RecencyWindow,
+    record_from_json,
+    record_to_json,
+)
 from kdetector.errors import DuplicateDumpId, MalformedRecord, UnsafeDumpId
 from kdetector.trainer import build_groups
 
@@ -222,3 +229,58 @@ def test_malformed_record_names_file_and_line(tmp_path, capsys, line):
 def test_config_without_value_is_usage_error(capsys):
     assert main(["detect", "x.dump", "--config"]) == 1
     assert "usage error: argument --config" in capsys.readouterr().err
+
+
+def _decoded(line: str):
+    """What record_from_json makes of a line: a record or the error it raised."""
+    try:
+        return record_from_json(line)
+    except json.JSONDecodeError as exc:
+        return ("JSONDecodeError", exc.msg, exc.pos)
+    except MalformedRecord as exc:
+        return ("MalformedRecord", str(exc))
+
+
+RECORD_LINES = st.builds(
+    lambda bug_id, dump_id, hours, dupe_of: record_to_json(FailureRecord(
+        bug_id, dump_id, "", EPOCH + datetime.timedelta(hours=hours), dupe_of, "CompA"
+    )),
+    st.integers(1, 10**6),
+    st.text(max_size=6),
+    st.integers(0, 10**5),
+    st.none() | st.integers(-3, 0),
+) | st.sampled_from(["[1, 2]", "null", "7", '"x"', _line(bug_id=None), _line(dupe_of="1")])
+# JSON whitespace stays accepted; vertical tab, form feed and NBSP do not
+PADDING = st.text(alphabet=" \t\r\n\x0b\x0c\xa0", max_size=3)
+TRAILING = st.sampled_from(["", "x", "{}", "1", "null", ",", "]", "}", '"', "\x00"])
+
+
+@settings(max_examples=300)
+@given(RECORD_LINES, PADDING, PADDING, TRAILING, PADDING)
+@example(_line(), " \t\r", "\r\t ", "", "")
+@example(_line(), "\x0c", "", "", "")
+@example(_line(), "", "\xa0", "", "")
+@example(_line(), "", " ", "x", " ")
+def test_record_decoding_accepts_and_rejects_as_json_loads(body, lead, gap, trailing, tail):
+    line = lead + body + gap + trailing + tail
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        assert _decoded(line) == ("JSONDecodeError", exc.msg, exc.pos)
+    else:  # the padding is JSON whitespace, so the line means what its body does
+        assert _decoded(line) == _decoded(body)
+    for end in range(len(line)):
+        truncated = line[:end]
+        try:
+            json.loads(truncated)
+        except json.JSONDecodeError as exc:
+            assert _decoded(truncated) == ("JSONDecodeError", exc.msg, exc.pos)
+        else:
+            assert _decoded(truncated) == _decoded(truncated.strip(" \t\r\n"))
+
+
+@pytest.mark.parametrize("line", [_line(dump_id="d1") + " x", "\xa0" + _line(dump_id="d1")])
+def test_undecodable_record_names_file_and_line(tmp_path, line):
+    (tmp_path / "bugs.ndjson").write_text(_line(dump_id="d0") + "\n" + line + "\n")
+    with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:2: (Extra data|Expecting value)"):
+        FailureStore(tmp_path)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from kdetector.dump_parser import parse_dump
 from kdetector.knowledge_miner import mine_tree
 from kdetector.sequencer import to_component_sequence
@@ -95,3 +97,12 @@ def test_write_corpus_layout(tmp_path):
     assert (tmp_path / "bugs.ndjson").is_file()
     assert len(list((tmp_path / "dumps").glob("*.dump"))) == 18
     assert (tmp_path / "pairs_train.tsv").read_text().strip()
+
+
+@pytest.mark.parametrize(
+    "field", ["groups", "per_group", "components", "functions_per_component", "top_pool"]
+)
+def test_spec_with_an_empty_count_is_rejected(field):
+    # generate_corpus used to loop forever on functions_per_component=0
+    with pytest.raises(ValueError, match=field):
+        CorpusSpec(**{field: 0})

@@ -1,7 +1,14 @@
 """Online triage: score an incoming dump against recent history.
 
-The failure store is an append-only directory: one ``bugs.ndjson`` line per
-record plus a serialized component sequence per dump under ``sequences/``.
+The failure store is a directory of two append-only text files:
+``bugs.ndjson``, one JSON record per line, and ``sequences.log``, one block
+per record holding its component sequence. A block is a ``\n``, a header
+line holding the record's bug id, then one ``component<TAB>fn1<TAB>fn2…``
+line per occurrence. A header is the only kind of line without a tab, so
+any component name frames unambiguously; when a bug id has several
+non-empty blocks the latest wins, and an empty one (left by a torn write)
+is ignored. ``append`` writes the block first and the record line second.
+A dump id never becomes a path.
 This module owns that format: the record type, its JSON codec, and the
 union-find that groups records along ``dupe_of`` (training reuses both).
 Detection scores the incoming sequence against every stored sequence inside
@@ -12,16 +19,24 @@ bindings stay stable as groups grow), anything else files a new bug.
 The store keeps an index in memory; the files on disk are the same with or
 without it. Opening a store of n records decodes each line once with
 json's C scanner (accepting and rejecting what ``json.loads`` does) into a
-slotted ``FailureRecord``, then builds a dump-id set, the running maximum
+slotted ``FailureRecord``, then builds a dump-id map, the running maximum
 bug id, the records sorted by ``(creation_time, bug_id)`` (O(n log n)) and
 a union-find over the ``dupe_of`` edges (O(n)). So ``has_dump`` is one
-set lookup, ``next_bug_id`` is that maximum plus one, a days window is one
+dict lookup, ``next_bug_id`` is that maximum plus one, a days window is one
 bisect plus a slice, ``last_k`` is a slice and ``canonical_bug`` is one
 ``find``; ``append`` inserts the new record in time order and links its
 edge. An edge whose target is not stored yet waits until that bug id
-arrives. Sequences load lazily: the first ``sequence_for`` of a dump reads
-its file with one ``open`` on a path string built from the directory
-worked out at open, and later calls return the same object.
+arrives. A last record line without its ``\n`` is kept if it decodes and
+gets its ``\n`` before the next record; if it does not decode it is a torn
+write, skipped at open and cut off by the next ``append``.
+
+Open does not read the sequence log. The first ``sequence_for`` reads it
+once and scans it backwards from the end, indexing each block it passes,
+until it reaches the block it needs; later calls go on from there, and a
+parsed sequence is kept. Records are mostly appended in time order, so a
+detect, whose window holds the newest records, parses about as many blocks
+as the window holds. A v1 store (a ``sequences/`` directory of one file
+per dump and no log) is migrated once at open.
 """
 
 from __future__ import annotations
@@ -30,13 +45,20 @@ import bisect
 import datetime
 import json
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dump_parser import CrashDump, parse_dump
-from .errors import DuplicateDumpId, MalformedRecord, StoreWriteError, UnsafeDumpId
+from .errors import DuplicateDumpId, EmptyStack, MalformedRecord, MissingSequence, StoreWriteError
 from .knowledge_miner import ComponentMap
-from .sequencer import ComponentSequence, sequence_from_text, sequence_to_text, to_component_sequence
+from .sequencer import (
+    ComponentOccurrence,
+    ComponentSequence,
+    sequence_from_text,
+    sequence_to_text,
+    to_component_sequence,
+)
 from .similarity import ModelParams, match_features, score_features
 from .stopwords import StopWordList, filter_stop_words
 
@@ -44,8 +66,8 @@ DUPLICATE = "duplicate"
 NEW = "new"
 
 _RECORDS_FILE = "bugs.ndjson"
-_SEQUENCE_DIR = "sequences"
-_PATH_CHARS = frozenset("/\\\0")  # separators and NUL
+_SEQUENCE_LOG = "sequences.log"
+_V1_SEQUENCE_DIR = "sequences"  # v1: one sequence file per dump, migrated at open
 _time_key = operator.attrgetter("creation_time", "bug_id")
 
 
@@ -197,34 +219,61 @@ class FailureStore:
     """Append-only record + sequence store backed by a directory.
 
     The index lives in memory. Open parses ``bugs.ndjson`` into the dump-id
-    set, the running maximum bug id, the time order and the union-find;
-    ``append`` keeps all four current.
+    map, the running maximum bug id, the time order and the union-find;
+    ``append`` keeps all four current. Open never reads the sequence log.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
+        self._records_path = str(self.root / _RECORDS_FILE)
+        self._log_path = str(self.root / _SEQUENCE_LOG)
         try:
-            (self.root / _SEQUENCE_DIR).mkdir(parents=True, exist_ok=True)
-            (self.root / _RECORDS_FILE).touch()
-        except OSError as exc:
-            raise StoreWriteError(f"cannot initialize store at {self.root}") from exc
-        self._records: list[FailureRecord] = []
-        self._sequences: dict[str, ComponentSequence] = {}
-        self._sequence_dir = str(self.root / _SEQUENCE_DIR)
-        path = self.root / _RECORDS_FILE
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+            with open(self._records_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
             try:
-                self._records.append(record_from_json(line))
+                self.root.mkdir(parents=True, exist_ok=True)
+                open(self._records_path, "ab").close()
+            except OSError as exc:
+                raise StoreWriteError(f"cannot initialize store at {self.root}") from exc
+        self._records: list[FailureRecord] = []
+        cut = data.rfind(b"\n") + 1  # where the last line without a \n starts
+        lines = data[:cut].decode("utf-8").split("\n")
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    self._records.append(record_from_json(line))
+                except (MalformedRecord, ValueError) as exc:
+                    raise self._bad_line(number, exc) from exc
+        # a last line without its \n is a record that gets its \n before the
+        # next append, or a torn write: text that is not JSON, skipped now
+        # and cut off by the next append
+        self._cut_at: int | None = None
+        self._end_line = False
+        if cut < len(data):
+            try:
+                record = record_from_json(data[cut:].decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                self._cut_at = cut
             except (MalformedRecord, ValueError) as exc:
-                raise MalformedRecord(f"{path}:{number}: {exc}") from exc
-        self._dump_ids = {record.dump_id for record in self._records}
+                raise self._bad_line(len(lines), exc) from exc
+            else:
+                self._records.append(record)
+                self._end_line = True
+        self._by_dump = {record.dump_id: record for record in self._records}
         self._max_bug_id = max((record.bug_id for record in self._records), default=None)
         self._ordered = sorted(self._records, key=_time_key)
         self._groups = UnionFind()  # dupe_of groups
         for record in self._records:
             self._groups.link(record.bug_id, record.dupe_of)
+        self._sequences: dict[str, ComponentSequence] = {}
+        self._log: str | None = None  # the sequence log's text, read on first use
+        if not os.path.exists(self._log_path) and (self.root / _V1_SEQUENCE_DIR).is_dir():
+            self._migrate_v1()
+
+    def _bad_line(self, number: int, exc: Exception) -> MalformedRecord:
+        return MalformedRecord(f"{self._records_path}:{number}: {exc}")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -235,16 +284,72 @@ class FailureStore:
         return list(self._records)
 
     def has_dump(self, dump_id: str) -> bool:
-        return dump_id in self._dump_ids
+        return dump_id in self._by_dump
 
     def sequence_for(self, dump_id: str) -> ComponentSequence:
         sequence = self._sequences.get(dump_id)
         if sequence is None:
-            _check_dump_id(dump_id)
-            with open(f"{self._sequence_dir}/{dump_id}.tsv") as fh:
-                text = fh.read()
-            sequence = self._sequences[dump_id] = sequence_from_text(text, dump_id)
+            sequence = self._sequences[dump_id] = self._read_sequence(dump_id)
         return sequence
+
+    def _read_sequence(self, dump_id: str) -> ComponentSequence:
+        """Parse the dump's block, scanning the log back from its end only
+        until that block is indexed."""
+        record = self._by_dump.get(dump_id)
+        if record is None:
+            raise MissingSequence(f"no record in the store has dump id {dump_id!r}")
+        if self._log is None:
+            self._read_log()
+        spans = self._blocks.setdefault(str(record.bug_id), [])
+        rank = self._rank.get(dump_id, 0)
+        while len(spans) <= rank and self._index_block():
+            pass
+        if len(spans) <= rank:
+            raise MissingSequence(f"{self._log_path} holds no sequence for dump id {dump_id!r}")
+        start, end = spans[rank]
+        return sequence_from_text(self._log[start:end], dump_id)
+
+    def _read_log(self) -> None:
+        try:
+            with open(self._log_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
+        self._log = data.decode("utf-8", "replace")  # only a torn tail holds bad bytes
+        self._scan = len(self._log)  # text before this offset is not indexed yet
+        self._blocks: dict[str, list[tuple[int, int]]] = {}  # header -> body spans, latest first
+        # Records that share a bug id (only direct appends make them) pair
+        # with that id's blocks from the end: the k-th latest record reads
+        # the k-th latest block. The union-find holds each bug id once.
+        self._rank: dict[str, int] = {}
+        if len(self._groups.parent) < len(self._records):
+            later: dict[int, int] = {}
+            for record in reversed(self._records):
+                self._rank[record.dump_id] = later.get(record.bug_id, 0)
+                later[record.bug_id] = self._rank[record.dump_id] + 1
+
+    def _index_block(self) -> bool:
+        """Index the block just before the scan point and move the point to
+        its start; False once the whole log is indexed.
+
+        A line without a tab is a header; the lines with a tab after it, up
+        to the next header, are its body. A block with an empty body (the
+        remains of a torn write) is not indexed.
+        """
+        text, end = self._log, self._scan
+        body_end, has_body = end, False
+        while end >= 0:
+            start = text.rfind("\n", 0, end) + 1
+            if text.find("\t", start, end) >= 0:
+                has_body = True
+            elif start < end:  # a header
+                if has_body:
+                    self._blocks.setdefault(text[start:end], []).append((end + 1, body_end))
+                self._scan = start - 1
+                return True
+            end = start - 1
+        self._scan = -1
+        return False
 
     def next_bug_id(self) -> int:
         return (self._max_bug_id or 0) + 1
@@ -273,30 +378,71 @@ class FailureStore:
         return self._ordered[start:]
 
     def append(self, record: FailureRecord, sequence: ComponentSequence) -> None:
-        _check_dump_id(record.dump_id)
+        """Write the sequence's block to the log, then the record's line."""
         if self.has_dump(record.dump_id):
             raise DuplicateDumpId(record.dump_id)
+        block = f"\n{record.bug_id}\n{sequence_to_text(sequence)}".encode()
+        line = ("\n" if self._end_line else "") + record_to_json(record) + "\n"
         try:
-            path = self.root / _SEQUENCE_DIR / f"{record.dump_id}.tsv"
-            path.write_text(sequence_to_text(sequence))
-            with (self.root / _RECORDS_FILE).open("a") as fh:
-                fh.write(record_to_json(record) + "\n")
+            with open(self._log_path, "ab") as fh:
+                fh.write(block)
+            with open(self._records_path, "ab") as fh:
+                if self._cut_at is not None:
+                    fh.truncate(self._cut_at)
+                fh.write(line.encode())
         except OSError as exc:
-            raise StoreWriteError(f"cannot append {record.dump_id}") from exc
+            raise StoreWriteError(f"cannot append {record.dump_id!r}") from exc
+        self._cut_at, self._end_line = None, False
         self._records.append(record)
         self._sequences[record.dump_id] = sequence
-        self._dump_ids.add(record.dump_id)
+        self._by_dump[record.dump_id] = record
         if self._max_bug_id is None or record.bug_id > self._max_bug_id:
             self._max_bug_id = record.bug_id
         # after equal keys, where a stable sort of all records puts it
         bisect.insort_right(self._ordered, record, key=_time_key)
         self._groups.link(record.bug_id, record.dupe_of)
 
+    def _migrate_v1(self) -> None:
+        """Write the blocks of a v1 store's ``sequences/*.tsv`` files, in
+        record order, to a new log; the v1 files stay as they are.
 
-def _check_dump_id(dump_id: str) -> None:
-    """A dump id names its sequence file, so it must be one plain file name."""
-    if dump_id in ("", ".", "..") or not _PATH_CHARS.isdisjoint(dump_id):
-        raise UnsafeDumpId(f"dump id {dump_id!r} is not a plain file name")
+        The files are globbed, so no path is built from a stored dump id. A
+        record without a readable v1 file gets no block.
+        """
+        v1_texts = {
+            path.name[: -len(".tsv")]: path
+            for path in (self.root / _V1_SEQUENCE_DIR).glob("*.tsv")
+        }
+        blocks = []
+        for record in self._records:
+            path = v1_texts.get(record.dump_id)
+            if path is None:
+                continue
+            try:
+                sequence = _read_v1_sequence(path.read_text(encoding="utf-8"), record.dump_id)
+            except (OSError, ValueError, EmptyStack):
+                continue
+            blocks.append(f"\n{record.bug_id}\n{sequence_to_text(sequence)}")
+        staged = self.root / f"{_SEQUENCE_LOG}.tmp"
+        try:
+            staged.write_bytes("".join(blocks).encode())
+            os.replace(staged, self._log_path)
+        except OSError as exc:
+            raise StoreWriteError(f"cannot migrate the sequences of {self.root}") from exc
+
+
+def _read_v1_sequence(text: str, dump_id: str) -> ComponentSequence:
+    """Parse a v1 ``position<TAB>component<TAB>fn1,fn2,…`` sequence file;
+    a comma inside a name was written as a separator, so it stays one."""
+    occurrences = []
+    for line in text.splitlines():
+        if line.strip():
+            position, component, functions = line.split("\t")
+            int(position)
+            occurrences.append(ComponentOccurrence(component, tuple(functions.split(","))))
+    if not occurrences:
+        raise EmptyStack(f"v1 sequence of {dump_id!r} has no occurrences")
+    return ComponentSequence(dump_id, tuple(occurrences))
 
 
 class Detector:

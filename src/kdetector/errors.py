@@ -54,5 +54,11 @@ class MalformedRecord(KDetectorError):
     """A failure-store record line is not a valid record."""
 
 
-class UnsafeDumpId(KDetectorError):
-    """A dump id is not one plain file name, so it cannot name a store file."""
+class MissingSequence(KDetectorError):
+    """The store holds no component sequence for a dump."""
+
+
+class UnstorableSequence(KDetectorError):
+    """A component sequence cannot be written to the sequence log: it has no
+    occurrences, an occurrence has no functions, or a name holds a tab or a
+    newline."""

@@ -9,7 +9,9 @@ distance in the package, which also serves the character-level baseline;
 :func:`component_distance` memoizes the normalized distance per pair of
 function tuples, because one detect meets the same run pairs again and
 again. Occurrences are named tuples, cheap to build when a stored
-sequence loads.
+sequence loads. :func:`sequence_to_text` and :func:`sequence_from_text`
+are the tab-separated text form of a block in the store's sequence log;
+names hold no whitespace, so every name round-trips.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Hashable, NamedTuple, Sequence
 
 from .dump_parser import StackFrame
-from .errors import ComponentMismatch, EmptyStack
+from .errors import ComponentMismatch, EmptyStack, UnstorableSequence
 from .knowledge_miner import ComponentMap
 
 UNKNOWN_PREFIX = "UNKNOWN:"
@@ -135,25 +137,36 @@ def _run_distance(a: tuple[str, ...], b: tuple[str, ...]) -> float:
 
 
 def sequence_to_text(sequence: ComponentSequence) -> str:
-    """Line-delimited ``position<TAB>component<TAB>fn1,fn2,…`` form.
+    """One ``component<TAB>fn1<TAB>fn2…`` line per occurrence, each ending
+    in ``\n``: the body of a block in the store's sequence log.
 
-    Function names with commas (template instantiations) do not round-trip.
+    Every line holds a tab, which tells it from the log's block headers.
+    Names that ``clean_frame`` accepts hold no whitespace, so they
+    round-trip; a sequence that would not (no occurrences, an occurrence
+    with no functions, a tab or newline in a name) raises
+    ``UnstorableSequence``.
     """
-    lines = [
-        f"{position}\t{occ.component}\t{','.join(occ.functions)}"
-        for position, occ in enumerate(sequence.occurrences)
-    ]
+    lines = []
+    for occ in sequence.occurrences:
+        line = "\t".join((occ.component, *occ.functions))
+        if not occ.functions or line.count("\t") != len(occ.functions) or "\n" in line:
+            raise UnstorableSequence(f"occurrence {occ!r} cannot be stored")
+        lines.append(line)
+    if not lines:
+        raise UnstorableSequence("a sequence without occurrences cannot be stored")
     return "\n".join(lines) + "\n"
 
 
 def sequence_from_text(text: str, dump_id: str = "") -> ComponentSequence:
+    """Inverse of :func:`sequence_to_text`; lines split at ``\n`` only and
+    blank lines are skipped."""
     occurrences = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        position, component, functions = line.split("\t")
-        int(position)  # rejects a non-integer first column; the index is the position
-        occurrences.append(ComponentOccurrence(component, tuple(functions.split(","))))
+    for line in text.split("\n"):
+        if line:
+            component, *functions = line.split("\t")
+            if not functions:
+                raise ValueError(f"occurrence line {line!r} has no tab")
+            occurrences.append(ComponentOccurrence(component, tuple(functions)))
     if not occurrences:
         raise EmptyStack("serialized sequence has no occurrences")
     return ComponentSequence(dump_id, tuple(occurrences))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from kdetector import sequencer
 from kdetector.detector import FailureRecord, FailureStore
-from kdetector.dump_parser import StackFrame
+from kdetector.dump_parser import StackFrame, clean_frame
 from kdetector.errors import ComponentMismatch, EmptyStack
 from kdetector.sequencer import (
     ComponentOccurrence,
@@ -20,7 +20,7 @@ from kdetector.sequencer import (
     sequence_to_text,
     to_component_sequence,
 )
-from kdetector.similarity import lcs_match
+from kdetector.similarity import ModelParams, lcs_match, similarity
 
 from conftest import make_component_map, make_sequence
 
@@ -131,7 +131,7 @@ def test_serialization_round_trip():
         dump_id="d1",
     )
     text = sequence_to_text(seq)
-    assert text.splitlines()[0] == "0\tCompA\tf1,f2"
+    assert text == "CompA\tf1\tf2\nUNKNOWN:g\tg\nCompB\th\n"
     assert sequence_from_text(text, "d1") == seq
 
 
@@ -184,3 +184,61 @@ def test_sequence_reloaded_from_the_store_equals_and_orients_as_appended(stored,
     assert (other.occurrences < loaded.occurrences) == (other_key < key)
     assert lcs_match(other, loaded) == lcs_match(other, appended)
     assert lcs_match(loaded, other) == lcs_match(appended, other)
+
+
+# qualified names as clean_frame accepts them: segments joined by "::", each
+# optionally a "~" destructor and optionally templated; template arguments
+# hold no "<", ">" or whitespace, so commas, "*", "&" and "::" all occur
+IDENTIFIER = st.from_regex(r"~?[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+TEMPLATE = st.text(alphabet="intchar,*&:~_09#ü", max_size=10).map(lambda t: f"<{t}>")
+SEGMENT = st.builds(lambda name, template: name + template, IDENTIFIER, st.just("") | TEMPLATE)
+QUALIFIED = st.lists(SEGMENT, min_size=1, max_size=3).map("::".join)
+COMPONENTS = st.sampled_from(["CompA", "1", "12", "#2", "ns::X<a,b>", "-3", "ä"])
+
+
+def _frames(names: list[str]) -> list[StackFrame]:
+    frames = []
+    for i, name in enumerate(names):
+        line = f"{i}: void {name}(int, char*) + 0x{16 + i:x} at mod.cpp:{i}"
+        assert clean_frame(line) == name
+        frames.append(StackFrame(index=i, raw_text=line, function_name=name))
+    return frames
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(QUALIFIED, min_size=1, max_size=6), min_size=1, max_size=4),
+    st.dictionaries(QUALIFIED, COMPONENTS, max_size=6),
+    st.data(),
+)
+def test_every_clean_frame_name_round_trips_through_the_store(stacks, mapped, data):
+    names = sorted({name for stack in stacks for name in stack})
+    # map some of the stack's own names too, so runs of several functions form
+    for name in data.draw(st.lists(st.sampled_from(names), max_size=4)):
+        mapped[name] = data.draw(COMPONENTS)
+    cmap = make_component_map(mapped)
+    sequences = [
+        to_component_sequence(_frames(stack), cmap, dump_id=f"d{i}")
+        for i, stack in enumerate(stacks)
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        store = FailureStore(root)
+        for i, sequence in enumerate(sequences):
+            store.append(FailureRecord(i + 1, sequence.dump_id, "", EPOCH, None, "A"), sequence)
+        reopened = FailureStore(root)
+        loaded = [reopened.sequence_for(sequence.dump_id) for sequence in sequences]
+    for sequence, reloaded in zip(sequences, loaded):
+        assert reloaded == sequence
+        assert similarity(sequence, reloaded, ModelParams(1.0, 1.0)).value == 1.0
+
+
+def test_template_name_with_a_comma_scores_one_against_its_stored_copy(tmp_path):
+    # the v1 format split functions at commas: this pair scored 0.538
+    name = "ns::Foo<int,char>::bar"
+    cmap = make_component_map({name: "CompA", "app::B::g1": "CompB"})
+    sequence = to_component_sequence(_frames([name, "app::B::g1"]), cmap, dump_id="d1")
+    FailureStore(tmp_path).append(FailureRecord(1, "d1", "", EPOCH, None, "CompA"), sequence)
+    stored = FailureStore(tmp_path).sequence_for("d1")
+    assert stored.occurrences[0].functions == (name,)
+    assert stored == sequence
+    assert similarity(sequence, stored, ModelParams(1.0, 1.0)).value == 1.0

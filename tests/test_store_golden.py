@@ -9,9 +9,13 @@ bug, not the record's own (d004_3, d000_3 and d002_3). Group 11 is never
 ingested, so its first dump files a new bug and its second binds to it.
 ``--last-k`` and ``--window-days`` runs cover both window kinds.
 
-The comparison is by bytes: ``bugs.ndjson``, every ``sequences/*.tsv`` file,
-and the report lines. Commands run from the work directory with relative
-paths, so ``dump_path`` holds no temporary directory.
+The comparison is by bytes: ``bugs.ndjson``, ``sequences.log`` and the
+report lines. Commands run from the work directory with relative paths, so
+``dump_path`` holds no temporary directory.
+
+``golden/store_v1/`` holds the same store in the v1 layout, one
+``sequences/<dump_id>.tsv`` file per dump; it is the fixture for the
+one-way migration to the sequence log.
 
 Regenerate the files (only when a store output change is intended) with
 
@@ -23,14 +27,18 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import oracles
 from kdetector.cli import main
+from kdetector.detector import FailureStore
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "store"
+GOLDEN_V1 = GOLDEN.with_name("store_v1")
 SYNTH = ["--groups", "12", "--per-group", "4", "--noise", "0.3", "--seed", "7"]
 INGESTED = [f"d{g:03d}_{k}" for g in range(11) for k in (1, 2)]
 # (dump id, extra window options), in triage order
@@ -59,25 +67,40 @@ def _cli(*argv) -> str:
     return out.getvalue()
 
 
-def regenerate(work: Path) -> dict[str, bytes]:
-    """Build the store in work/store; return its files and the reports."""
+def _prepare(work: Path) -> list[str]:
+    """Write the corpus, map, stop list and params; return the pipeline options."""
+    _cli("synth", "--out", "corpus", *SYNTH)
+    _cli("mine", "corpus/src", "--out", "componentmap.tsv")
+    _cli("stopwords", "corpus/dumps", "--out", "stopwords.tsv", "--cutoff", "2")
+    Path("params.txt").write_text(PARAMS)
+    return ["--map", "componentmap.tsv", "--stoplist", "stopwords.tsv", "--store", "store"]
+
+
+def _detect_all(pipeline: list[str]) -> str:
+    return "".join(
+        _cli("detect", f"corpus/dumps/{dump_id}.dump", *pipeline,
+             "--params", "params.txt", "--bind", *window)
+        for dump_id, window in DETECTED
+    )
+
+
+@contextlib.contextmanager
+def _inside(work: Path):
     previous = os.getcwd()
     os.chdir(work)
     try:
-        _cli("synth", "--out", "corpus", *SYNTH)
-        _cli("mine", "corpus/src", "--out", "componentmap.tsv")
-        _cli("stopwords", "corpus/dumps", "--out", "stopwords.tsv", "--cutoff", "2")
-        Path("params.txt").write_text(PARAMS)
-        pipeline = ["--map", "componentmap.tsv", "--stoplist", "stopwords.tsv", "--store", "store"]
-        for dump_id in INGESTED:
-            _cli("ingest", f"corpus/dumps/{dump_id}.dump", *pipeline)
-        reports = "".join(
-            _cli("detect", f"corpus/dumps/{dump_id}.dump", *pipeline,
-                 "--params", "params.txt", "--bind", *window)
-            for dump_id, window in DETECTED
-        )
+        yield
     finally:
         os.chdir(previous)
+
+
+def regenerate(work: Path) -> dict[str, bytes]:
+    """Build the store in work/store; return its files and the reports."""
+    with _inside(work):
+        pipeline = _prepare(work)
+        for dump_id in INGESTED:
+            _cli("ingest", f"corpus/dumps/{dump_id}.dump", *pipeline)
+        reports = _detect_all(pipeline)
     store = work / "store"
     artifacts = {"detect.stdout": reports.encode()}
     for path in sorted(store.rglob("*")):
@@ -109,12 +132,34 @@ def test_artifact_is_byte_identical(regenerated, name):
 
 
 def test_sequences_are_byte_identical(regenerated):
-    golden = _golden()
-    differ = [
-        name for name in golden
-        if name.startswith("sequences/") and regenerated.get(name) != golden[name]
+    assert regenerated["sequences.log"] == (GOLDEN / "sequences.log").read_bytes()
+
+
+def test_v1_store_migrates_and_replays_the_same_reports(tmp_path):
+    """Open a v1 store as it stood after the ingests: every sequence equals
+    what its v1 file gives, and the replayed detects report, bind and log
+    the same bytes as a store built as v2."""
+    with _inside(tmp_path):
+        pipeline = _prepare(tmp_path)
+    v1 = tmp_path / "store"
+    shutil.copytree(GOLDEN_V1 / "sequences", v1 / "sequences")
+    ingested = (GOLDEN_V1 / "bugs.ndjson").read_bytes().splitlines(keepends=True)[: len(INGESTED)]
+    (v1 / "bugs.ndjson").write_bytes(b"".join(ingested))
+    store = FailureStore(v1)
+    assert [record.dump_id for record in store.records] == INGESTED
+    for dump_id in INGESTED:
+        v1_text = (GOLDEN_V1 / "sequences" / f"{dump_id}.tsv").read_text()
+        assert store.sequence_for(dump_id) == oracles.v1_sequence_from_text(v1_text, dump_id)
+    with _inside(tmp_path):
+        reports = _detect_all(pipeline)
+    assert reports == (GOLDEN / "detect.stdout").read_text()
+    assert (v1 / "bugs.ndjson").read_bytes() == (GOLDEN / "bugs.ndjson").read_bytes()
+    assert (v1 / "sequences.log").read_bytes() == (GOLDEN / "sequences.log").read_bytes()
+    v1_files = sorted(path.name for path in (GOLDEN_V1 / "sequences").iterdir())
+    assert sorted(path.name for path in (v1 / "sequences").iterdir()) == v1_files
+    assert sorted(path.name for path in v1.iterdir()) == [
+        "bugs.ndjson", "sequences", "sequences.log"
     ]
-    assert differ == []
 
 
 def test_reports_cover_binds_and_new_bugs():

@@ -1,5 +1,6 @@
 """The failure store's in-memory index against the record scans it replaced
-(``oracles.py``), plus the store's input checks: unsafe dump ids,
+(``oracles.py``), plus the store's files and input checks: hostile dump ids
+that never become paths, sequences the log cannot hold, torn writes,
 malformed ``bugs.ndjson`` lines, and a record decoder that accepts and
 rejects exactly the lines ``json.loads`` does."""
 
@@ -16,16 +17,20 @@ from hypothesis import strategies as st
 import oracles
 from kdetector.cli import main
 from kdetector.detector import (
+    Detector,
     FailureRecord,
     FailureStore,
     RecencyWindow,
     record_from_json,
     record_to_json,
 )
-from kdetector.errors import DuplicateDumpId, MalformedRecord, UnsafeDumpId
+from kdetector import detector
+from kdetector.errors import DuplicateDumpId, MalformedRecord, MissingSequence, UnstorableSequence
+from kdetector.similarity import ModelParams
+from kdetector.stopwords import StopWordList
 from kdetector.trainer import build_groups
 
-from conftest import make_dump_text, make_sequence
+from conftest import make_component_map, make_dump_text, make_sequence
 
 EPOCH = datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc)
 PLUS_TWO = datetime.timezone(datetime.timedelta(hours=2))
@@ -150,24 +155,32 @@ def test_store_groups_agree_with_build_groups(edges, reopen_at):
             assert {store.canonical_bug(bug_id) for bug_id in group} == {min(group)}
 
 
-@pytest.mark.parametrize("dump_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
-def test_unsafe_dump_id_is_rejected_before_any_write(tmp_path, dump_id):
+@pytest.mark.parametrize(
+    "dump_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b", "../../escaped", "a\nb\tc"]
+)
+def test_hostile_dump_id_is_stored_and_read_back(tmp_path, dump_id):
+    """A dump id is a JSON string in bugs.ndjson and never names a file."""
     store = FailureStore(tmp_path / "store")
-    record = FailureRecord(1, dump_id, "", EPOCH, None, "CompA")
-    with pytest.raises(UnsafeDumpId):
-        store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
-    assert (tmp_path / "store" / "bugs.ndjson").read_text() == ""
-    assert list((tmp_path / "store" / "sequences").iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+    sequence = make_sequence([("CompA", ["a::f"]), ("CompB", ["b::g"])], dump_id)
+    store.append(FailureRecord(1, dump_id, "", EPOCH, None, "CompA"), sequence)
+    reopened = FailureStore(tmp_path / "store")
+    assert reopened.has_dump(dump_id)
+    assert reopened.sequence_for(dump_id) == sequence
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "store", "store/bugs.ndjson", "store/sequences.log"
+    ]
 
 
 def test_stored_unsafe_dump_id_is_never_read(tmp_path):
-    (tmp_path / "secret.tsv").write_text("CompA\ta::f\n")
-    (tmp_path / "store").mkdir()
+    # a v1 store read sequences/<dump_id>.tsv, here ../../secret.tsv; the
+    # migration globs sequences/ and never follows a stored dump id
+    (tmp_path / "secret.tsv").write_text("0\tCompA\ta::f\n")
+    (tmp_path / "store" / "sequences").mkdir(parents=True)
     (tmp_path / "store" / "bugs.ndjson").write_text(_line(dump_id="../../secret") + "\n")
     store = FailureStore(tmp_path / "store")
-    with pytest.raises(UnsafeDumpId):
+    with pytest.raises(MissingSequence):
         store.sequence_for("../../secret")
+    assert (tmp_path / "store" / "sequences.log").read_bytes() == b""
 
 
 @pytest.mark.parametrize("command", ["ingest", "detect"])
@@ -184,13 +197,99 @@ def test_cli_writes_nothing_outside_the_store(tmp_path, capsys, command):
             "--store", work / "store"]
     if command == "detect":
         argv += ["--params", work / "params.txt", "--bind"]
-    code = main([str(a) for a in argv])
-    assert code == 2
-    assert "not a plain file name" in capsys.readouterr().err
+    assert main([str(a) for a in argv]) == 0
+    assert "../../escaped" in capsys.readouterr().out
     after = sorted(tmp_path.rglob("*"))
     store = work / "store"
-    assert [p for p in after if p not in before] == [store, store / "bugs.ndjson", store / "sequences"]
-    assert (store / "bugs.ndjson").read_text() == ""
+    assert [p for p in after if p not in before] == [
+        store, store / "bugs.ndjson", store / "sequences.log"
+    ]
+    reopened = FailureStore(store)
+    assert reopened.sequence_for("../../escaped") == make_sequence(
+        [("CompA", ["app::A::f1"])], "../../escaped"
+    )
+
+
+@pytest.mark.parametrize(
+    "occurrences",
+    [
+        [],
+        [("CompA", [])],
+        [("Comp\tA", ["f"])],
+        [("Comp\nA", ["f"])],
+        [("CompA", ["f", "g\th"])],
+        [("CompA", ["f"]), ("CompB", ["g\n"])],
+    ],
+)
+def test_unstorable_sequence_is_rejected_before_any_write(tmp_path, occurrences):
+    store = FailureStore(tmp_path / "store")
+    with pytest.raises(UnstorableSequence):
+        store.append(FailureRecord(1, "d1", "", EPOCH, None, "CompA"),
+                     make_sequence(occurrences, "d1"))
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["bugs.ndjson"]
+    assert (tmp_path / "store" / "bugs.ndjson").read_bytes() == b""
+    assert len(FailureStore(tmp_path / "store")) == 0
+
+
+def test_records_sharing_a_bug_id_keep_their_own_sequences(tmp_path):
+    appended = [(1, "a"), (1, "b"), (2, "c"), (1, "d"), (-1, "e"), (-1, "f")]
+    store = FailureStore(tmp_path)
+    for bug_id, dump_id in appended:
+        sequence = make_sequence([("CompA", [f"{dump_id}::f"])], dump_id)
+        store.append(FailureRecord(bug_id, dump_id, "", EPOCH, None, "CompA"), sequence)
+    for dump_id in ("f", "a", "d", "b", "e", "c"):
+        cold = FailureStore(tmp_path)
+        assert cold.sequence_for(dump_id).occurrences[0].functions == (f"{dump_id}::f",)
+    reopened = FailureStore(tmp_path)
+    assert [reopened.sequence_for(d).occurrences[0].functions[0] for _, d in appended] == [
+        f"{d}::f" for _, d in appended
+    ]
+
+
+def test_missing_sequence_is_a_data_error(tmp_path, capsys):
+    store = FailureStore(tmp_path)
+    store.append(FailureRecord(1, "d1", "", EPOCH, None, "CompA"),
+                 make_sequence([("CompA", ["a::f"])], "d1"))
+    (tmp_path / "sequences.log").unlink()
+    with pytest.raises(MissingSequence):
+        FailureStore(tmp_path).sequence_for("d1")
+    with pytest.raises(MissingSequence):
+        FailureStore(tmp_path).sequence_for("never-stored")
+    dump = tmp_path / "probe.dump"
+    dump.write_text(make_dump_text(["app::A::f1"], dump_id="probe", time=EPOCH.isoformat()))
+    (tmp_path / "map.tsv").write_text("#version 1 mined=x\napp::A::f1\tCompA\n")
+    (tmp_path / "stop.tsv").write_text("#cutoff: 0\n")
+    (tmp_path / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    code = main([str(a) for a in ["detect", dump, "--map", tmp_path / "map.tsv",
+                                  "--stoplist", tmp_path / "stop.tsv", "--store", tmp_path,
+                                  "--params", tmp_path / "params.txt"]])
+    assert code == 2
+    assert "holds no sequence for dump id 'd1'" in capsys.readouterr().err
+
+
+def test_cold_detect_parses_only_the_windows_blocks(tmp_path, monkeypatch):
+    store = FailureStore(tmp_path)
+    for i in range(40):
+        created = EPOCH + datetime.timedelta(hours=i)
+        record = FailureRecord(i + 1, f"d{i}", "", created, None, "CompA")
+        store.append(record, make_sequence([("CompA", [f"a::f{i % 3}"])], f"d{i}"))
+    parsed = []
+    real = detector.sequence_from_text
+
+    def counting(text, dump_id=""):
+        parsed.append(dump_id)
+        return real(text, dump_id)
+
+    monkeypatch.setattr(detector, "sequence_from_text", counting)
+    probe = make_sequence([("CompA", ["a::f0"])], "probe")
+    for window, now, first in [(RecencyWindow(last_k=5), None, 35),
+                               (RecencyWindow(days=0.5), EPOCH + datetime.timedelta(hours=39), 27)]:
+        parsed.clear()
+        cold = Detector(FailureStore(tmp_path), make_component_map({}), StopWordList([], 0),
+                        ModelParams(1.0, 1.0, 0.5))
+        result = cold.detect(probe, window=window, now=now)
+        assert result.candidates_considered == 40 - first
+        assert sorted(parsed) == sorted(f"d{i}" for i in range(first, 40))
 
 
 @pytest.mark.parametrize(
@@ -283,4 +382,72 @@ def test_record_decoding_accepts_and_rejects_as_json_loads(body, lead, gap, trai
 def test_undecodable_record_names_file_and_line(tmp_path, line):
     (tmp_path / "bugs.ndjson").write_text(_line(dump_id="d0") + "\n" + line + "\n")
     with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:2: (Extra data|Expecting value)"):
+        FailureStore(tmp_path)
+
+
+def test_record_lines_split_at_newline_only(tmp_path):
+    """A record line ends at \n alone: \x0c, \x85 or U+2028 neither end it
+    nor shift the line number of a later bad record."""
+    path = tmp_path / "bugs.ndjson"
+    path.write_text(_line(dump_id="d0") + "\x0c\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:1: Extra data"):
+        FailureStore(tmp_path)
+    odd = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g h i"
+    raw = json.dumps({**GOOD, "dump_id": odd}, ensure_ascii=False)
+    path.write_text(raw + "\n\n" + _line(dump_id="d1") + "\n", encoding="utf-8")
+    assert [r.dump_id for r in FailureStore(tmp_path).records] == [odd, "d1"]
+    path.write_text(raw + "\n" + _line(bug_id="x") + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:2: bug_id"):
+        FailureStore(tmp_path)
+
+
+# names that frame oddly: a header-like component, digits, the ''#'' that a
+# header might have used, and a comma inside a template
+LAST_APPEND = [
+    make_sequence([("1", ["ns::Foo<int,char>::bar", "f"]), ("#3", ["~X"])]),
+    make_sequence([("CompA", ["a::f"])]),
+    make_sequence([("CompB", ["b::g<1,2>", "b::h"]), ("3", ["x"]), ("UNKNOWN:z", ["z"])]),
+]
+
+
+def test_a_crash_at_every_byte_of_an_append_loses_at_most_that_record(tmp_path):
+    """append writes the block, then the record line. Cut the log inside the
+    last block with that line not yet written, or cut the record line with
+    the log whole: the store opens with the earlier records (and the last
+    one when only its \n is missing), and the next append round-trips."""
+    full = tmp_path / "full"
+    store = FailureStore(full)
+    records = [FailureRecord(i + 1, f"d{i}", "", EPOCH, None, "CompA") for i in range(3)]
+    sizes = []
+    for record, sequence in zip(records, LAST_APPEND):
+        sizes.append(((full / "sequences.log").stat().st_size if sizes else 0,
+                      (full / "bugs.ndjson").stat().st_size))
+        store.append(record, sequence)
+    log, bugs = ((full / name).read_bytes() for name in ("sequences.log", "bugs.ndjson"))
+    log_before, bugs_before = sizes[-1]
+    cuts = [(k, bugs_before) for k in range(log_before, len(log))]
+    cuts += [(len(log), k) for k in range(bugs_before, len(bugs) + 1)]
+    new = make_sequence([("CompC", ["c::new"]), ("1", ["c::q"])])
+    for case, (log_cut, bugs_cut) in enumerate(cuts):
+        root = tmp_path / f"cut{case}"
+        root.mkdir()
+        (root / "sequences.log").write_bytes(log[:log_cut])
+        (root / "bugs.ndjson").write_bytes(bugs[:bugs_cut])
+        kept = 3 if bugs_cut >= len(bugs) - 1 else 2
+        store = FailureStore(root)
+        assert [r.dump_id for r in store.records] == [r.dump_id for r in records[:kept]]
+        for record, sequence in zip(records[:kept], LAST_APPEND):
+            assert store.sequence_for(record.dump_id).occurrences == sequence.occurrences
+        added = FailureRecord(store.next_bug_id(), "added", "", EPOCH, None, "CompC")
+        store.append(added, new)
+        reopened = FailureStore(root)
+        assert reopened.records == records[:kept] + [added]
+        for record, sequence in zip(records[:kept] + [added], LAST_APPEND[:kept] + [new]):
+            assert reopened.sequence_for(record.dump_id).occurrences == sequence.occurrences
+        assert (root / "bugs.ndjson").read_bytes().endswith(b"}\n")
+
+
+def test_last_line_of_json_that_is_no_record_is_still_an_error(tmp_path):
+    (tmp_path / "bugs.ndjson").write_text(_line(dump_id="d0") + "\n" + _line(bug_id="x"))
+    with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:2: bug_id"):
         FailureStore(tmp_path)

@@ -5,18 +5,22 @@ corpus, ``mine`` builds the component map from a source tree,
 ``stopwords`` derives the stop-word list from a dump corpus, ``train``
 grid-tunes the model coefficients on a labeled pairs file, ``evaluate``
 prints an AUC table against the two baseline comparators, and ``ingest``
-/ ``detect`` drive the triage store. Exit codes: 0 success, 1 usage
-error, 2 data error.
+/ ``detect`` drive the triage store. ``ingest`` and ``detect --bind`` hold
+the store's writer lock from before it opens until after the append, so
+concurrent per-crash processes never mint the same bug id; a read-only
+``detect`` takes no lock. Exit codes: 0 success, 1 usage error, 2 data
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
-from .detector import Detector, FailureStore, RecencyWindow, render_report
+from .detector import Detector, FailureStore, RecencyWindow, render_report, writer_lock
 from .dump_parser import parse_dump
 from .errors import EmptyCorpus, KDetectorError
 from .knowledge_miner import (
@@ -256,9 +260,10 @@ def _detector(args, params: ModelParams) -> Detector:
 
 
 def _cmd_ingest(args) -> int:
-    detector = _detector(args, ModelParams(1.0, 1.0))
     text = Path(args.dump).read_text()
-    record, _ = detector.ingest(text, dump_path=str(args.dump))
+    with writer_lock(args.store):
+        detector = _detector(args, ModelParams(1.0, 1.0))
+        record, _ = detector.ingest(text, dump_path=str(args.dump))
     print(json.dumps({"ingested": record.dump_id, "bug_id": record.bug_id}))
     return 0
 
@@ -266,12 +271,14 @@ def _cmd_ingest(args) -> int:
 def _cmd_detect(args) -> int:
     _at_least("--window-days", args.window_days, 0)
     _at_least("--last-k", args.last_k, 0)
-    detector = _detector(args, _load_params(args))
+    params = _load_params(args)
     text = Path(args.dump).read_text()
     window = RecencyWindow(days=args.window_days, last_k=args.last_k)
-    result = detector.triage(
-        text, dump_path=str(args.dump), window=window, bind=args.bind
-    )
+    with writer_lock(args.store) if args.bind else contextlib.nullcontext():
+        detector = _detector(args, params)
+        result = detector.triage(
+            text, dump_path=str(args.dump), window=window, bind=args.bind
+        )
     print(render_report(result))
     return 0
 

@@ -16,19 +16,31 @@ the recency window; a best score at or above the threshold binds the
 candidate group's canonical bug id (the smallest in its union-find group, so
 bindings stay stable as groups grow), anything else files a new bug.
 
+A store holds each bug id and each dump id once. ``append`` rejects a
+repeat before it writes a byte (``DuplicateBugId``, ``DuplicateDumpId``),
+and open rejects one as a ``MalformedRecord`` naming its line. Processes
+that write one store take turns through ``writer_lock``, an exclusive
+POSIX ``fcntl.flock`` on ``bugs.ndjson`` held from before the store opens
+until after the append, so two of them never mint the same bug id. A
+``FailureStore`` keeps its index in memory and takes no lock itself, so a
+long-lived one must be the store's only writer while it lives.
+
 The store keeps an index in memory; the files on disk are the same with or
 without it. Opening a store of n records decodes each line once with
 json's C scanner (accepting and rejecting what ``json.loads`` does) into a
-slotted ``FailureRecord``, then builds a dump-id map, the running maximum
-bug id, the records sorted by ``(creation_time, bug_id)`` (O(n log n)) and
-a union-find over the ``dupe_of`` edges (O(n)). So ``has_dump`` is one
-dict lookup, ``next_bug_id`` is that maximum plus one, a days window is one
-bisect plus a slice, ``last_k`` is a slice and ``canonical_bug`` is one
-``find``; ``append`` inserts the new record in time order and links its
-edge. An edge whose target is not stored yet waits until that bug id
-arrives. A last record line without its ``\n`` is kept if it decodes and
-gets its ``\n`` before the next record; if it does not decode it is a torn
-write, skipped at open and cut off by the next ``append``.
+slotted ``FailureRecord``; open and ``append`` then pass each record to one
+routine that adds it to a dump-id map (in append order), the running
+maximum bug id, the time order and a union-find over the ``dupe_of``
+edges. So ``has_dump`` is one dict lookup, ``next_bug_id`` is that maximum
+plus one and ``canonical_bug`` is one ``find``. An edge whose target is
+not stored yet waits until that bug id arrives. The time order is the
+records by ``(creation_time, bug_id)``: a record that arrives in order is
+appended to it, and one that does not leaves it to be sorted (O(n log n),
+O(n) when nearly sorted) before the next window reads it; then a days
+window is one bisect plus a slice and ``last_k`` is a slice. A last record
+line without its ``\n`` is kept if it decodes and gets its ``\n`` before
+the next record; if it does not decode it is a torn write, skipped at open
+and cut off by the next ``append``.
 
 Open does not read the sequence log. The first ``sequence_for`` reads it
 once and scans it backwards from the end, indexing each block it passes,
@@ -42,7 +54,10 @@ per dump and no log) is migrated once at open.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import dataclasses
 import datetime
+import fcntl
 import json
 import operator
 import os
@@ -50,7 +65,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dump_parser import CrashDump, parse_dump
-from .errors import DuplicateDumpId, EmptyStack, MalformedRecord, MissingSequence, StoreWriteError
+from .errors import (
+    DuplicateBugId,
+    DuplicateDumpId,
+    EmptyStack,
+    MalformedRecord,
+    MissingSequence,
+    StoreWriteError,
+)
 from .knowledge_miner import ComponentMap
 from .sequencer import (
     ComponentOccurrence,
@@ -205,7 +227,7 @@ class RecencyWindow:
     last_k: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionResult:
     dump_id: str
     verdict: str  # DUPLICATE or NEW
@@ -218,9 +240,9 @@ class DetectionResult:
 class FailureStore:
     """Append-only record + sequence store backed by a directory.
 
-    The index lives in memory. Open parses ``bugs.ndjson`` into the dump-id
-    map, the running maximum bug id, the time order and the union-find;
-    ``append`` keeps all four current. Open never reads the sequence log.
+    The index lives in memory. Open and ``append`` add each record to it
+    through ``_index``, which first rejects a stored dump id or bug id.
+    Open never reads the sequence log.
     """
 
     def __init__(self, root: Path | str):
@@ -237,15 +259,16 @@ class FailureStore:
                 open(self._records_path, "ab").close()
             except OSError as exc:
                 raise StoreWriteError(f"cannot initialize store at {self.root}") from exc
-        self._records: list[FailureRecord] = []
+        self._by_dump: dict[str, FailureRecord] = {}  # in append order
+        self._max_bug_id: int | None = None
+        self._ordered: list[FailureRecord] = []  # by (creation_time, bug_id) once sorted
+        self._unsorted = False  # a record may have arrived out of order since the last sort
+        self._groups = UnionFind()  # dupe_of groups; its items are the stored bug ids
         cut = data.rfind(b"\n") + 1  # where the last line without a \n starts
         lines = data[:cut].decode("utf-8").split("\n")
         for number, line in enumerate(lines, start=1):
             if line.strip():
-                try:
-                    self._records.append(record_from_json(line))
-                except (MalformedRecord, ValueError) as exc:
-                    raise self._bad_line(number, exc) from exc
+                self._open_line(number, line)
         # a last line without its \n is a record that gets its \n before the
         # next append, or a torn write: text that is not JSON, skipped now
         # and cut off by the next append
@@ -253,35 +276,51 @@ class FailureStore:
         self._end_line = False
         if cut < len(data):
             try:
-                record = record_from_json(data[cut:].decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+                tail = data[cut:].decode("utf-8")
+                json.loads(tail)
+            except ValueError:  # bytes that are not UTF-8 or text that is not JSON
                 self._cut_at = cut
-            except (MalformedRecord, ValueError) as exc:
-                raise self._bad_line(len(lines), exc) from exc
             else:
-                self._records.append(record)
+                self._open_line(len(lines), tail)
                 self._end_line = True
-        self._by_dump = {record.dump_id: record for record in self._records}
-        self._max_bug_id = max((record.bug_id for record in self._records), default=None)
-        self._ordered = sorted(self._records, key=_time_key)
-        self._groups = UnionFind()  # dupe_of groups
-        for record in self._records:
-            self._groups.link(record.bug_id, record.dupe_of)
         self._sequences: dict[str, ComponentSequence] = {}
         self._log: str | None = None  # the sequence log's text, read on first use
         if not os.path.exists(self._log_path) and (self.root / _V1_SEQUENCE_DIR).is_dir():
             self._migrate_v1()
 
-    def _bad_line(self, number: int, exc: Exception) -> MalformedRecord:
-        return MalformedRecord(f"{self._records_path}:{number}: {exc}")
+    def _open_line(self, number: int, line: str) -> None:
+        """Decode and index one record line; a bad or repeated record is a
+        ``MalformedRecord`` naming the file and line."""
+        try:
+            self._index(record_from_json(line))
+        except (MalformedRecord, DuplicateDumpId, DuplicateBugId, ValueError) as exc:
+            raise MalformedRecord(f"{self._records_path}:{number}: {exc}") from exc
+
+    def _check_new(self, record: FailureRecord) -> None:
+        if record.dump_id in self._by_dump:
+            raise DuplicateDumpId(f"dump id {record.dump_id!r} is already stored")
+        if record.bug_id in self._groups.parent:
+            raise DuplicateBugId(f"bug id {record.bug_id} is already stored")
+
+    def _index(self, record: FailureRecord) -> None:
+        """Add a record with a new dump id and bug id to the index."""
+        self._check_new(record)
+        self._by_dump[record.dump_id] = record
+        if self._max_bug_id is None or record.bug_id > self._max_bug_id:
+            self._max_bug_id = record.bug_id
+        # comparing times alone is cheaper; a tie marks a sort it may not need
+        if self._ordered and record.creation_time <= self._ordered[-1].creation_time:
+            self._unsorted = True
+        self._ordered.append(record)
+        self._groups.link(record.bug_id, record.dupe_of)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_dump)
 
     @property
     def records(self) -> list[FailureRecord]:
         """Every record in append order."""
-        return list(self._records)
+        return list(self._by_dump.values())
 
     def has_dump(self, dump_id: str) -> bool:
         return dump_id in self._by_dump
@@ -300,13 +339,12 @@ class FailureStore:
             raise MissingSequence(f"no record in the store has dump id {dump_id!r}")
         if self._log is None:
             self._read_log()
-        spans = self._blocks.setdefault(str(record.bug_id), [])
-        rank = self._rank.get(dump_id, 0)
-        while len(spans) <= rank and self._index_block():
+        header = str(record.bug_id)
+        while header not in self._blocks and self._index_block():
             pass
-        if len(spans) <= rank:
+        if header not in self._blocks:
             raise MissingSequence(f"{self._log_path} holds no sequence for dump id {dump_id!r}")
-        start, end = spans[rank]
+        start, end = self._blocks[header]
         return sequence_from_text(self._log[start:end], dump_id)
 
     def _read_log(self) -> None:
@@ -317,16 +355,7 @@ class FailureStore:
             data = b""
         self._log = data.decode("utf-8", "replace")  # only a torn tail holds bad bytes
         self._scan = len(self._log)  # text before this offset is not indexed yet
-        self._blocks: dict[str, list[tuple[int, int]]] = {}  # header -> body spans, latest first
-        # Records that share a bug id (only direct appends make them) pair
-        # with that id's blocks from the end: the k-th latest record reads
-        # the k-th latest block. The union-find holds each bug id once.
-        self._rank: dict[str, int] = {}
-        if len(self._groups.parent) < len(self._records):
-            later: dict[int, int] = {}
-            for record in reversed(self._records):
-                self._rank[record.dump_id] = later.get(record.bug_id, 0)
-                later[record.bug_id] = self._rank[record.dump_id] + 1
+        self._blocks: dict[str, tuple[int, int]] = {}  # header -> latest non-empty body span
 
     def _index_block(self) -> bool:
         """Index the block just before the scan point and move the point to
@@ -344,7 +373,7 @@ class FailureStore:
                 has_body = True
             elif start < end:  # a header
                 if has_body:
-                    self._blocks.setdefault(text[start:end], []).append((end + 1, body_end))
+                    self._blocks.setdefault(text[start:end], (end + 1, body_end))
                 self._scan = start - 1
                 return True
             end = start - 1
@@ -364,6 +393,9 @@ class FailureStore:
         self, window: RecencyWindow, now: datetime.datetime | None = None
     ) -> list[FailureRecord]:
         """Records inside the window, ordered by (creation_time, bug_id)."""
+        if self._unsorted:
+            self._ordered.sort(key=_time_key)
+            self._unsorted = False
         if window.last_k is not None:
             return self._ordered[-window.last_k :] if window.last_k > 0 else []
         if window.days is None:
@@ -378,29 +410,27 @@ class FailureStore:
         return self._ordered[start:]
 
     def append(self, record: FailureRecord, sequence: ComponentSequence) -> None:
-        """Write the sequence's block to the log, then the record's line."""
-        if self.has_dump(record.dump_id):
-            raise DuplicateDumpId(record.dump_id)
+        """Write the sequence's block to the log, then the record's line; a
+        stored dump id or bug id is rejected before anything is written."""
+        self._check_new(record)
         block = f"\n{record.bug_id}\n{sequence_to_text(sequence)}".encode()
         line = ("\n" if self._end_line else "") + record_to_json(record) + "\n"
+        records_end = None
         try:
             with open(self._log_path, "ab") as fh:
                 fh.write(block)
             with open(self._records_path, "ab") as fh:
                 if self._cut_at is not None:
                     fh.truncate(self._cut_at)
+                records_end = fh.seek(0, os.SEEK_END)
                 fh.write(line.encode())
         except OSError as exc:
+            if records_end is not None:  # the next append cuts a half-written line off
+                self._cut_at = records_end
             raise StoreWriteError(f"cannot append {record.dump_id!r}") from exc
         self._cut_at, self._end_line = None, False
-        self._records.append(record)
         self._sequences[record.dump_id] = sequence
-        self._by_dump[record.dump_id] = record
-        if self._max_bug_id is None or record.bug_id > self._max_bug_id:
-            self._max_bug_id = record.bug_id
-        # after equal keys, where a stable sort of all records puts it
-        bisect.insort_right(self._ordered, record, key=_time_key)
-        self._groups.link(record.bug_id, record.dupe_of)
+        self._index(record)
 
     def _migrate_v1(self) -> None:
         """Write the blocks of a v1 store's ``sequences/*.tsv`` files, in
@@ -414,7 +444,7 @@ class FailureStore:
             for path in (self.root / _V1_SEQUENCE_DIR).glob("*.tsv")
         }
         blocks = []
-        for record in self._records:
+        for record in self._by_dump.values():
             path = v1_texts.get(record.dump_id)
             if path is None:
                 continue
@@ -429,6 +459,17 @@ class FailureStore:
             os.replace(staged, self._log_path)
         except OSError as exc:
             raise StoreWriteError(f"cannot migrate the sequences of {self.root}") from exc
+
+
+@contextlib.contextmanager
+def writer_lock(root: Path | str):
+    """Hold an exclusive POSIX ``fcntl.flock`` on the store's ``bugs.ndjson``
+    (made, with its directory, if missing) until the block ends."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    with open(root / _RECORDS_FILE, "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
 
 
 def _read_v1_sequence(text: str, dump_id: str) -> ComponentSequence:
@@ -516,14 +557,11 @@ class Detector:
         dump_path: str = "",
         now: datetime.datetime | None = None,
     ) -> FailureRecord:
-        """Persist the verdict: bind the duplicate or file a new bug."""
-        is_duplicate = result.verdict == DUPLICATE
+        """Persist the verdict: bind the duplicate or file a new bug, whose
+        id the returned record holds."""
         now = now or datetime.datetime.now(datetime.timezone.utc)
-        dupe_of = result.bug_id if is_duplicate else None
-        record = self._file_record(result.dump_id, sequence, dump_path, now, dupe_of)
-        if not is_duplicate:
-            result.bug_id = record.bug_id
-        return record
+        dupe_of = result.bug_id if result.verdict == DUPLICATE else None
+        return self._file_record(result.dump_id, sequence, dump_path, now, dupe_of)
 
     def _file_record(
         self,
@@ -564,7 +602,9 @@ class Detector:
         crash_time = _parse_time(dump.header["time"])
         result = self.detect(sequence, window=window, now=crash_time)
         if bind:
-            self.bind_or_file(result, sequence, dump_path=dump_path, now=crash_time)
+            record = self.bind_or_file(result, sequence, dump_path=dump_path, now=crash_time)
+            if result.verdict == NEW:
+                result = dataclasses.replace(result, bug_id=record.bug_id)
         return result
 
 

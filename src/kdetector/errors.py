@@ -46,6 +46,10 @@ class DuplicateDumpId(KDetectorError):
     """A dump with this id is already in the store."""
 
 
+class DuplicateBugId(KDetectorError):
+    """A record with this bug id is already in the store."""
+
+
 class StoreWriteError(KDetectorError):
     """The failure store could not be written."""
 

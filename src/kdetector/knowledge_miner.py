@@ -55,7 +55,12 @@ class ComponentMap:
     """Function -> Component composition over a mined tree snapshot."""
 
     function_to_component: dict[str, str]
-    stats: MapStats
+
+    @property
+    def stats(self) -> MapStats:
+        """Function and component counts, derived from the map itself."""
+        mapping = self.function_to_component
+        return MapStats(len(mapping), len(set(mapping.values())))
 
     def component_for(self, function_name: str) -> str | None:
         return self.function_to_component.get(function_name)
@@ -240,8 +245,7 @@ def build_function_component_map(
                     f"function {name} in {path} -> {component} conflicts with "
                     f"{owner[name]} -> {function_map[name]}; keeping the latter"
                 )
-    stats = MapStats(len(function_map), len(set(function_map.values())))
-    return ComponentMap(function_map, stats), warnings
+    return ComponentMap(function_map), warnings
 
 
 def mine_tree(
@@ -307,5 +311,4 @@ def load_component_map(text: str, path: str = "component map") -> ComponentMap:
         if not (name and component):
             raise MalformedMap(f"{path}:{number}: {line!r} is not function<TAB>component")
         function_map[name] = component
-    stats = MapStats(len(function_map), len(set(function_map.values())))
-    return ComponentMap(function_map, stats)
+    return ComponentMap(function_map)

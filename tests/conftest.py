@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from kdetector.knowledge_miner import ComponentMap, MapStats
+from kdetector.knowledge_miner import ComponentMap
 from kdetector.sequencer import ComponentOccurrence, ComponentSequence
 
 
@@ -42,8 +42,7 @@ def make_dump_text(
 
 
 def make_component_map(assignments: dict[str, str]) -> ComponentMap:
-    stats = MapStats(len(assignments), len(set(assignments.values())))
-    return ComponentMap(dict(assignments), stats)
+    return ComponentMap(dict(assignments))
 
 
 def make_sequence(

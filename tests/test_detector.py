@@ -200,9 +200,8 @@ class TestBindOrFile:
         assert rec.bug_id == 5
 
     def test_new_files_fresh_bug_and_updates_result(self, detector):
-        probe = seq("probe", "CompA")
-        result = detector.detect(probe, now=EPOCH)
-        rec = detector.bind_or_file(result, probe, now=EPOCH)
+        result = detector.triage(make_dump_text(["app::A::f1"], dump_id="probe"))
+        [rec] = detector.store.records
         assert result.verdict == NEW
         assert rec.dupe_of is None
         assert rec.resolution == ""

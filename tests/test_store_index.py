@@ -7,7 +7,11 @@ rejects exactly the lines ``json.loads`` does."""
 from __future__ import annotations
 
 import datetime
+import errno
+import io
 import json
+import multiprocessing
+import sys
 import tempfile
 
 import pytest
@@ -25,7 +29,14 @@ from kdetector.detector import (
     record_to_json,
 )
 from kdetector import detector
-from kdetector.errors import DuplicateDumpId, MalformedRecord, MissingSequence, UnstorableSequence
+from kdetector.errors import (
+    DuplicateBugId,
+    DuplicateDumpId,
+    MalformedRecord,
+    MissingSequence,
+    StoreWriteError,
+    UnstorableSequence,
+)
 from kdetector.similarity import ModelParams
 from kdetector.stopwords import StopWordList
 from kdetector.trainer import build_groups
@@ -83,9 +94,12 @@ def _assert_matches_scans(store: FailureStore, records: list[FailureRecord]) -> 
 
 @settings(max_examples=150, deadline=None)
 @given(STEPS)
-# a key tie after the time order is built: the later append goes last
+# a repeated bug id is rejected like a repeated dump id
 @example([("append", "d0", 1, None, 0, datetime.timezone.utc, True),
           ("append", "d1", 1, None, 0, datetime.timezone.utc, True)])
+# a time tie: the smaller bug id, appended later, goes first
+@example([("append", "d0", 2, None, 0, datetime.timezone.utc, True),
+          ("append", "d1", 1, None, 0, PLUS_TWO, True)])
 def test_index_matches_record_scans(steps):
     with tempfile.TemporaryDirectory() as tmp:
         store = FailureStore(tmp)
@@ -105,6 +119,9 @@ def test_index_matches_record_scans(steps):
             )
             if oracles.has_dump(records, dump_id):
                 with pytest.raises(DuplicateDumpId):
+                    store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
+            elif any(r.bug_id == bug_id for r in records):
+                with pytest.raises(DuplicateBugId):
                     store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
             else:
                 store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
@@ -139,18 +156,27 @@ def test_dangling_edge_joins_when_its_target_arrives(tmp_path):
 @example([(5, 9), (6, 5)], 1)  # dupe_of names a bug never stored
 def test_store_groups_agree_with_build_groups(edges, reopen_at):
     """The store and training link dupe_of through the same union-find: every
-    bug's canonical bug is the smallest bug id of its build_groups group."""
+    bug's canonical bug is the smallest bug id of its build_groups group. A
+    repeated bug id is rejected, and the groups are those of the accepted
+    records."""
     records = [
         FailureRecord(bug_id, f"d{i}", "", EPOCH, None if dupe_of == bug_id else dupe_of, "CompA")
         for i, (bug_id, dupe_of) in enumerate(edges)
     ]
+    accepted: list[FailureRecord] = []
     with tempfile.TemporaryDirectory() as tmp:
         store = FailureStore(tmp)
         for i, record in enumerate(records):
             if i == reopen_at:
                 store = FailureStore(tmp)
-            store.append(record, make_sequence([("CompA", ["a::f"])], record.dump_id))
-        groups, _ = build_groups(records)
+            sequence = make_sequence([("CompA", ["a::f"])], record.dump_id)
+            if any(r.bug_id == record.bug_id for r in accepted):
+                with pytest.raises(DuplicateBugId):
+                    store.append(record, sequence)
+            else:
+                store.append(record, sequence)
+                accepted.append(record)
+        groups, _ = build_groups(accepted)
         for group in groups:
             assert {store.canonical_bug(bug_id) for bug_id in group} == {min(group)}
 
@@ -231,19 +257,36 @@ def test_unstorable_sequence_is_rejected_before_any_write(tmp_path, occurrences)
     assert len(FailureStore(tmp_path / "store")) == 0
 
 
-def test_records_sharing_a_bug_id_keep_their_own_sequences(tmp_path):
-    appended = [(1, "a"), (1, "b"), (2, "c"), (1, "d"), (-1, "e"), (-1, "f")]
+@pytest.mark.parametrize(
+    "repeat, error",
+    [((1, "b"), DuplicateBugId), ((3, "a"), DuplicateDumpId), ((1, "a"), DuplicateDumpId)],
+)
+def test_append_rejects_a_repeated_id_before_any_write(tmp_path, repeat, error):
     store = FailureStore(tmp_path)
-    for bug_id, dump_id in appended:
-        sequence = make_sequence([("CompA", [f"{dump_id}::f"])], dump_id)
-        store.append(FailureRecord(bug_id, dump_id, "", EPOCH, None, "CompA"), sequence)
-    for dump_id in ("f", "a", "d", "b", "e", "c"):
-        cold = FailureStore(tmp_path)
-        assert cold.sequence_for(dump_id).occurrences[0].functions == (f"{dump_id}::f",)
-    reopened = FailureStore(tmp_path)
-    assert [reopened.sequence_for(d).occurrences[0].functions[0] for _, d in appended] == [
-        f"{d}::f" for _, d in appended
-    ]
+    for bug_id, dump_id in [(1, "a"), (2, "c")]:
+        store.append(FailureRecord(bug_id, dump_id, "", EPOCH, None, "CompA"),
+                     make_sequence([("CompA", [f"{dump_id}::f"])], dump_id))
+    files = {name: (tmp_path / name).read_bytes() for name in ("bugs.ndjson", "sequences.log")}
+    bug_id, dump_id = repeat
+    with pytest.raises(error):
+        store.append(FailureRecord(bug_id, dump_id, "", EPOCH, None, "CompA"),
+                     make_sequence([("CompA", ["new::f"])], dump_id))
+    assert {name: (tmp_path / name).read_bytes() for name in files} == files
+    assert [r.dump_id for r in FailureStore(tmp_path).records] == ["a", "c"]
+
+
+@pytest.mark.parametrize(
+    "third, repeated",
+    [(_line(bug_id=1, dump_id="d3"), "bug id 1"), (_line(bug_id=3, dump_id="d1"), "dump id 'd1'")],
+)
+@pytest.mark.parametrize("newline", ["\n", ""])
+def test_open_rejects_a_repeated_id_naming_its_line(tmp_path, third, repeated, newline):
+    """A repeat on disk (from a writer without the lock, or an edit) is a
+    data error at open, also on a last line without its \n."""
+    lines = [_line(), _line(bug_id=2, dump_id="d2"), third]
+    (tmp_path / "bugs.ndjson").write_text("\n".join(lines) + newline)
+    with pytest.raises(MalformedRecord, match=rf"bugs\.ndjson:3: {repeated} is already stored"):
+        FailureStore(tmp_path)
 
 
 def test_missing_sequence_is_a_data_error(tmp_path, capsys):
@@ -394,7 +437,7 @@ def test_record_lines_split_at_newline_only(tmp_path):
         FailureStore(tmp_path)
     odd = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g h i"
     raw = json.dumps({**GOOD, "dump_id": odd}, ensure_ascii=False)
-    path.write_text(raw + "\n\n" + _line(dump_id="d1") + "\n", encoding="utf-8")
+    path.write_text(raw + "\n\n" + _line(bug_id=2, dump_id="d1") + "\n", encoding="utf-8")
     assert [r.dump_id for r in FailureStore(tmp_path).records] == [odd, "d1"]
     path.write_text(raw + "\n" + _line(bug_id="x") + "\n", encoding="utf-8")
     with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:2: bug_id"):
@@ -451,3 +494,93 @@ def test_last_line_of_json_that_is_no_record_is_still_an_error(tmp_path):
     (tmp_path / "bugs.ndjson").write_text(_line(dump_id="d0") + "\n" + _line(bug_id="x"))
     with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:2: bug_id"):
         FailureStore(tmp_path)
+
+
+@pytest.mark.parametrize("last_newline", [True, False])
+def test_half_written_record_line_is_cut_off_by_the_next_append(
+    tmp_path, monkeypatch, last_newline
+):
+    """A write that fails part-way through the record line leaves bytes
+    behind; the next append cuts them off, so the store still opens."""
+    sequences = {d: make_sequence([("CompA", [f"{d}::f"])], d) for d in ("d1", "d2", "d3")}
+    FailureStore(tmp_path).append(FailureRecord(1, "d1", "", EPOCH, None, "CompA"), sequences["d1"])
+    if not last_newline:
+        bugs = tmp_path / "bugs.ndjson"
+        bugs.write_bytes(bugs.read_bytes().rstrip(b"\n"))
+    store = FailureStore(tmp_path)
+
+    class HalfWrite(io.FileIO):
+        def write(self, data):
+            super().write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if str(path).endswith("bugs.ndjson"):
+            return HalfWrite(path, mode)
+        return io.open(path, mode, *args, **kwargs)
+
+    size = (tmp_path / "bugs.ndjson").stat().st_size
+    monkeypatch.setattr(detector, "open", failing_open, raising=False)
+    with pytest.raises(StoreWriteError):
+        store.append(FailureRecord(2, "d2", "", EPOCH, None, "CompA"), sequences["d2"])
+    monkeypatch.undo()
+    assert (tmp_path / "bugs.ndjson").stat().st_size > size
+    store.append(FailureRecord(store.next_bug_id(), "d3", "", EPOCH, None, "CompA"), sequences["d3"])
+    reopened = FailureStore(tmp_path)
+    assert [(r.bug_id, r.dump_id) for r in reopened.records] == [(1, "d1"), (2, "d3")]
+    for dump_id in ("d1", "d3"):
+        assert reopened.sequence_for(dump_id) == sequences[dump_id]
+
+
+def _cli_inputs(root) -> list[str]:
+    """Map, stop-word and params files for store commands; their options."""
+    (root / "map.tsv").write_text("#version 1 mined=x\napp::A::f1\tCompA\napp::B::g1\tCompB\n")
+    (root / "stop.tsv").write_text("#cutoff: 0\n")
+    (root / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    return ["--map", str(root / "map.tsv"), "--stoplist", str(root / "stop.tsv"),
+            "--params", str(root / "params.txt")]
+
+
+def test_detect_on_a_store_with_a_repeated_dump_id_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / "bugs.ndjson").write_text(_line() + "\n" + _line(bug_id=2) + "\n")
+    dump = tmp_path / "probe.dump"
+    dump.write_text(make_dump_text(["app::A::f1"], dump_id="probe"))
+    code = main(["detect", str(dump), "--store", str(tmp_path / "store"), *_cli_inputs(tmp_path)])
+    assert code == 2
+    assert "bugs.ndjson:2: dump id 'd1' is already stored" in capsys.readouterr().err
+
+
+def _bind_each(start, argvs: list[list[str]]) -> None:
+    """Once both writers are up, run each ``detect --bind``; the process
+    exits non-zero if any fails."""
+    start.wait(timeout=60)
+    sys.exit(max(main(argv) for argv in argvs))
+
+
+def test_concurrent_binds_mint_distinct_bug_ids(tmp_path):
+    """Two processes binding into one store take turns through the writer
+    lock, so every record gets its own bug id and the store reopens."""
+    options = ["--store", str(tmp_path / "store"), *_cli_inputs(tmp_path), "--bind"]
+    stacks = [["app::A::f1"], ["app::B::g1"], ["app::A::f1", "app::B::g1"]]
+    context = multiprocessing.get_context("spawn")
+    start = context.Barrier(2)
+    workers = []
+    for w in range(2):
+        argvs = []
+        for i in range(15):
+            dump = tmp_path / f"w{w}-{i}.dump"
+            dump.write_text(make_dump_text(stacks[i % 3], dump_id=f"w{w}-{i}"))
+            argvs.append(["detect", str(dump), *options])
+        workers.append(context.Process(target=_bind_each, args=(start, argvs)))
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+        if worker.is_alive():
+            worker.kill()
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    lines = (tmp_path / "store" / "bugs.ndjson").read_text().splitlines()
+    bug_ids = [json.loads(line)["bug_id"] for line in lines]
+    assert sorted(bug_ids) == list(range(1, 31))
+    assert len(FailureStore(tmp_path / "store")) == 30

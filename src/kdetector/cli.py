@@ -7,9 +7,11 @@ grid-tunes the model coefficients on a labeled pairs file, ``evaluate``
 prints an AUC table against the two baseline comparators, and ``ingest``
 / ``detect`` drive the triage store. ``ingest`` and ``detect --bind`` hold
 the store's writer lock from before it opens until after the append, so
-concurrent per-crash processes never mint the same bug id; a read-only
-``detect`` takes no lock. Exit codes: 0 success, 1 usage error, 2 data
-error.
+concurrent per-crash processes never mint the same bug id, and under it
+they refresh the store's record checkpoint once enough records have been
+appended since the last one. A read-only ``detect`` takes no lock and
+writes nothing; a store that does not exist is a data error for it. Exit
+codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from .detector import Detector, FailureStore, RecencyWindow, render_report, writer_lock
 from .dump_parser import parse_dump
-from .errors import EmptyCorpus, KDetectorError
+from .errors import EmptyCorpus, KDetectorError, StoreWriteError
 from .knowledge_miner import (
     ComponentMap,
     dump_component_map,
@@ -254,9 +256,18 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _detector(args, params: ModelParams) -> Detector:
-    store = FailureStore(args.store)
+def _detector(args, params: ModelParams, read_only: bool = False) -> Detector:
+    store = FailureStore(args.store, read_only=read_only)
     return Detector(store, _load_map(args), _load_stoplist(args), params)
+
+
+def _write_checkpoint(store: FailureStore) -> None:
+    """The record is stored already, so a checkpoint that cannot be
+    written is only a warning; the next writer tries again."""
+    try:
+        store.write_checkpoint()
+    except (OSError, StoreWriteError) as exc:
+        print(f"warning: no checkpoint written: {exc}", file=sys.stderr)
 
 
 def _cmd_ingest(args) -> int:
@@ -264,6 +275,7 @@ def _cmd_ingest(args) -> int:
     with writer_lock(args.store):
         detector = _detector(args, ModelParams(1.0, 1.0))
         record, _ = detector.ingest(text, dump_path=str(args.dump))
+        _write_checkpoint(detector.store)
     print(json.dumps({"ingested": record.dump_id, "bug_id": record.bug_id}))
     return 0
 
@@ -275,10 +287,12 @@ def _cmd_detect(args) -> int:
     text = Path(args.dump).read_text()
     window = RecencyWindow(days=args.window_days, last_k=args.last_k)
     with writer_lock(args.store) if args.bind else contextlib.nullcontext():
-        detector = _detector(args, params)
+        detector = _detector(args, params, read_only=not args.bind)
         result = detector.triage(
             text, dump_path=str(args.dump), window=window, bind=args.bind
         )
+        if args.bind:
+            _write_checkpoint(detector.store)
     print(render_report(result))
     return 0
 

@@ -26,7 +26,7 @@ until after the append, so two of them never mint the same bug id. A
 long-lived one must be the store's only writer while it lives.
 
 The store keeps an index in memory; the files on disk are the same with or
-without it. Opening a store of n records decodes each line once with
+without it. A full open of a store of n records decodes each line once with
 json's C scanner (accepting and rejecting what ``json.loads`` does) into a
 slotted ``FailureRecord``; open and ``append`` then pass each record to one
 routine that adds it to a dump-id map (in append order), the running
@@ -49,6 +49,25 @@ parsed sequence is kept. Records are mostly appended in time order, so a
 detect, whose window holds the newest records, parses about as many blocks
 as the window holds. A v1 store (a ``sequences/`` directory of one file
 per dump and no log) is migrated once at open.
+
+A third file, ``bugs.checkpoint``, spares a per-crash process from
+decoding records it does not score. It covers a prefix of ``bugs.ndjson``
+that ends at a ``\n``. It holds that byte length, the sha256 of those
+bytes, one column per covered record line (bug id, dump id, creation time
+as integer UTC microseconds, canonical bug) and the ``dupe_of`` edges still
+waiting for their target, behind a sha256 of its own. Open uses it only
+when both hashes match and the columns are well formed: it fills the index
+from the columns, decodes and checks only the lines past the covered
+range, and builds a covered record from its line only when a window,
+``records`` or the v1 migration asks for it. In every other case (no
+checkpoint, a stale, truncated or garbled one, or an edit inside the
+covered range) open decodes and checks every line, as above. Every covered
+line was checked by the full open or append that indexed it before a
+checkpoint covered it. Only ``kdetector ingest`` and ``detect --bind``
+write one, under the writer lock and after their append, once
+``CHECKPOINT_EVERY`` records are not covered, through a temporary file and
+``os.replace``; a ``FailureStore`` or ``Detector`` used in-process never
+does.
 """
 
 from __future__ import annotations
@@ -58,8 +77,8 @@ import contextlib
 import dataclasses
 import datetime
 import fcntl
+import hashlib
 import json
-import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +90,7 @@ from .errors import (
     EmptyStack,
     MalformedRecord,
     MissingSequence,
+    MissingStore,
     StoreWriteError,
 )
 from .knowledge_miner import ComponentMap
@@ -90,7 +110,18 @@ NEW = "new"
 _RECORDS_FILE = "bugs.ndjson"
 _SEQUENCE_LOG = "sequences.log"
 _V1_SEQUENCE_DIR = "sequences"  # v1: one sequence file per dump, migrated at open
-_time_key = operator.attrgetter("creation_time", "bug_id")
+_CHECKPOINT_FILE = "bugs.checkpoint"
+_CHECKPOINT_FORMAT = 1
+_CHECKPOINT_COLUMNS = {"bug_id": int, "dump_id": str, "creation_time": int, "canonical_bug": int}
+# a writer replaces the checkpoint once this many records are not covered by it
+CHECKPOINT_EVERY = 256
+_EPOCH = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+_MICROSECOND = datetime.timedelta(microseconds=1)
+
+
+def _utc_micros(time: datetime.datetime) -> int:
+    """An aware time as integer UTC microseconds, which order as the times do."""
+    return (time - _EPOCH) // _MICROSECOND
 
 
 @dataclass(slots=True)
@@ -240,38 +271,53 @@ class DetectionResult:
 class FailureStore:
     """Append-only record + sequence store backed by a directory.
 
-    The index lives in memory. Open and ``append`` add each record to it
-    through ``_index``, which first rejects a stored dump id or bug id.
-    Open never reads the sequence log.
+    The index lives in memory, one row per record in append order. Open
+    and ``append`` add each record to it through ``_index``, which first
+    rejects a stored dump id or bug id; an open from a verified checkpoint
+    fills the rows it covers from the checkpoint's columns and builds their
+    records only when asked. Open never reads the sequence log. A
+    ``read_only`` open writes nothing: a missing store is a ``MissingStore``
+    and a v1 store is migrated in memory.
     """
 
-    def __init__(self, root: Path | str):
+    def __init__(self, root: Path | str, read_only: bool = False):
         self.root = Path(root)
         self._records_path = str(self.root / _RECORDS_FILE)
         self._log_path = str(self.root / _SEQUENCE_LOG)
+        self._checkpoint_path = str(self.root / _CHECKPOINT_FILE)
         try:
             with open(self._records_path, "rb") as fh:
                 data = fh.read()
         except FileNotFoundError:
+            if read_only:
+                raise MissingStore(f"no failure store at {self.root}: no {_RECORDS_FILE}") from None
             data = b""
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
                 open(self._records_path, "ab").close()
             except OSError as exc:
                 raise StoreWriteError(f"cannot initialize store at {self.root}") from exc
-        self._by_dump: dict[str, FailureRecord] = {}  # in append order
+        self._rows: dict[str, int] = {}  # dump id -> row, in append order
+        self._records: list[FailureRecord | None] = []  # per row; None until first asked for
+        self._lines: list[str] = []  # the record lines of the checkpoint's rows
         self._max_bug_id: int | None = None
-        self._ordered: list[FailureRecord] = []  # by (creation_time, bug_id) once sorted
+        # (creation time, bug id, row), by time and bug id once sorted; the
+        # time is the datetime, or its UTC microseconds after a checkpoint open
+        self._ordered: list[tuple] = []
         self._unsorted = False  # a record may have arrived out of order since the last sort
+        self._micros = False
         self._groups = UnionFind()  # dupe_of groups; its items are the stored bug ids
+        covered, line_count = self._open_checkpoint(data)
+        self._covered = len(self._records)  # rows the checkpoint read at open covers
         cut = data.rfind(b"\n") + 1  # where the last line without a \n starts
-        lines = data[:cut].decode("utf-8").split("\n")
-        for number, line in enumerate(lines, start=1):
+        lines = data[covered:cut].decode("utf-8").split("\n")
+        for number, line in enumerate(lines, start=line_count + 1):
             if line.strip():
                 self._open_line(number, line)
         # a last line without its \n is a record that gets its \n before the
         # next append, or a torn write: text that is not JSON, skipped now
         # and cut off by the next append
+        self._size = cut  # bytes of bugs.ndjson up to the last complete line
         self._cut_at: int | None = None
         self._end_line = False
         if cut < len(data):
@@ -281,12 +327,46 @@ class FailureStore:
             except ValueError:  # bytes that are not UTF-8 or text that is not JSON
                 self._cut_at = cut
             else:
-                self._open_line(len(lines), tail)
+                self._open_line(line_count + len(lines), tail)
                 self._end_line = True
         self._sequences: dict[str, ComponentSequence] = {}
         self._log: str | None = None  # the sequence log's text, read on first use
         if not os.path.exists(self._log_path) and (self.root / _V1_SEQUENCE_DIR).is_dir():
-            self._migrate_v1()
+            log = self._migrate_v1()
+            if read_only:
+                self._start_log(log)
+            else:
+                self._replace(self._log_path, log.encode(), "migrate the sequences of")
+
+    def _open_checkpoint(self, data: bytes) -> tuple[int, int]:
+        """Fill the index from the checkpoint when it verifies against
+        ``data``; returns the byte length and line count it covers, (0, 0)
+        when there is none or it does not verify."""
+        try:
+            with open(self._checkpoint_path, "rb") as fh:
+                columns = _checkpoint_columns(fh.read(), data)
+        except OSError:
+            return 0, 0
+        if columns is None:
+            return 0, 0
+        length, bug_ids, dump_ids, times, canonical, waiting = columns
+        lines = data[:length].decode("utf-8").split("\n")
+        line_count = len(lines) - 1  # the text after the last \n is empty
+        del lines[line_count]
+        if len(lines) != len(bug_ids):
+            lines = [line for line in lines if line.strip()]
+        rows = dict(zip(dump_ids, range(len(dump_ids))))
+        parent = dict(zip(bug_ids, canonical))
+        if not len(lines) == len(rows) == len(parent) == len(bug_ids):
+            return 0, 0
+        self._rows, self._lines = rows, lines
+        self._records = [None] * len(bug_ids)
+        self._max_bug_id = max(bug_ids, default=None)
+        self._ordered = list(zip(times, bug_ids, range(len(bug_ids))))
+        self._unsorted = self._micros = True
+        self._groups.parent = parent
+        self._groups.waiting = {target: items for target, items in waiting}
+        return length, line_count
 
     def _open_line(self, number: int, line: str) -> None:
         """Decode and index one record line; a bad or repeated record is a
@@ -297,7 +377,7 @@ class FailureStore:
             raise MalformedRecord(f"{self._records_path}:{number}: {exc}") from exc
 
     def _check_new(self, record: FailureRecord) -> None:
-        if record.dump_id in self._by_dump:
+        if record.dump_id in self._rows:
             raise DuplicateDumpId(f"dump id {record.dump_id!r} is already stored")
         if record.bug_id in self._groups.parent:
             raise DuplicateBugId(f"bug id {record.bug_id} is already stored")
@@ -305,25 +385,34 @@ class FailureStore:
     def _index(self, record: FailureRecord) -> None:
         """Add a record with a new dump id and bug id to the index."""
         self._check_new(record)
-        self._by_dump[record.dump_id] = record
+        row = len(self._records)
+        self._rows[record.dump_id] = row
+        self._records.append(record)
         if self._max_bug_id is None or record.bug_id > self._max_bug_id:
             self._max_bug_id = record.bug_id
+        stamp = _utc_micros(record.creation_time) if self._micros else record.creation_time
         # comparing times alone is cheaper; a tie marks a sort it may not need
-        if self._ordered and record.creation_time <= self._ordered[-1].creation_time:
+        if self._ordered and stamp <= self._ordered[-1][0]:
             self._unsorted = True
-        self._ordered.append(record)
+        self._ordered.append((stamp, record.bug_id, row))
         self._groups.link(record.bug_id, record.dupe_of)
 
+    def _record(self, row: int) -> FailureRecord:
+        record = self._records[row]
+        if record is None:  # a checkpoint row: its line was checked when it was written
+            record = self._records[row] = record_from_json(self._lines[row])
+        return record
+
     def __len__(self) -> int:
-        return len(self._by_dump)
+        return len(self._records)
 
     @property
     def records(self) -> list[FailureRecord]:
         """Every record in append order."""
-        return list(self._by_dump.values())
+        return [self._record(row) for row in range(len(self._records))]
 
     def has_dump(self, dump_id: str) -> bool:
-        return dump_id in self._by_dump
+        return dump_id in self._rows
 
     def sequence_for(self, dump_id: str) -> ComponentSequence:
         sequence = self._sequences.get(dump_id)
@@ -334,12 +423,17 @@ class FailureStore:
     def _read_sequence(self, dump_id: str) -> ComponentSequence:
         """Parse the dump's block, scanning the log back from its end only
         until that block is indexed."""
-        record = self._by_dump.get(dump_id)
-        if record is None:
+        row = self._rows.get(dump_id)
+        if row is None:
             raise MissingSequence(f"no record in the store has dump id {dump_id!r}")
         if self._log is None:
-            self._read_log()
-        header = str(record.bug_id)
+            try:
+                with open(self._log_path, "rb") as fh:
+                    data = fh.read()
+            except FileNotFoundError:
+                data = b""
+            self._start_log(data.decode("utf-8", "replace"))  # only a torn tail holds bad bytes
+        header = str(self._record(row).bug_id)
         while header not in self._blocks and self._index_block():
             pass
         if header not in self._blocks:
@@ -347,14 +441,9 @@ class FailureStore:
         start, end = self._blocks[header]
         return sequence_from_text(self._log[start:end], dump_id)
 
-    def _read_log(self) -> None:
-        try:
-            with open(self._log_path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            data = b""
-        self._log = data.decode("utf-8", "replace")  # only a torn tail holds bad bytes
-        self._scan = len(self._log)  # text before this offset is not indexed yet
+    def _start_log(self, text: str) -> None:
+        self._log = text
+        self._scan = len(text)  # text before this offset is not indexed yet
         self._blocks: dict[str, tuple[int, int]] = {}  # header -> latest non-empty body span
 
     def _index_block(self) -> bool:
@@ -394,27 +483,32 @@ class FailureStore:
     ) -> list[FailureRecord]:
         """Records inside the window, ordered by (creation_time, bug_id)."""
         if self._unsorted:
-            self._ordered.sort(key=_time_key)
+            self._ordered.sort()
             self._unsorted = False
         if window.last_k is not None:
-            return self._ordered[-window.last_k :] if window.last_k > 0 else []
-        if window.days is None:
-            return self._ordered[:]
+            chosen = self._ordered[-window.last_k :] if window.last_k > 0 else []
+        else:
+            chosen = self._ordered[self._window_start(window.days, now) :]
+        return [self._record(row) for _, _, row in chosen]
+
+    def _window_start(self, days: float | None, now: datetime.datetime | None) -> int:
+        """Index in the time order of the first record at most days old."""
+        if days is None:
+            return 0
         now = now or datetime.datetime.now(datetime.timezone.utc)
         try:
-            horizon = now - datetime.timedelta(days=window.days)
+            horizon = now - datetime.timedelta(days=days)
         except OverflowError:  # the horizon falls before datetime.min
-            return self._ordered[:]
-        # (horizon,) sorts before every key whose time is horizon
-        start = bisect.bisect_left(self._ordered, (horizon,), key=_time_key)
-        return self._ordered[start:]
+            return 0
+        # (horizon,) sorts before every entry whose time is horizon
+        return bisect.bisect_left(self._ordered, (_utc_micros(horizon) if self._micros else horizon,))
 
     def append(self, record: FailureRecord, sequence: ComponentSequence) -> None:
         """Write the sequence's block to the log, then the record's line; a
         stored dump id or bug id is rejected before anything is written."""
         self._check_new(record)
         block = f"\n{record.bug_id}\n{sequence_to_text(sequence)}".encode()
-        line = ("\n" if self._end_line else "") + record_to_json(record) + "\n"
+        line = (("\n" if self._end_line else "") + record_to_json(record) + "\n").encode()
         records_end = None
         try:
             with open(self._log_path, "ab") as fh:
@@ -423,18 +517,66 @@ class FailureStore:
                 if self._cut_at is not None:
                     fh.truncate(self._cut_at)
                 records_end = fh.seek(0, os.SEEK_END)
-                fh.write(line.encode())
+                fh.write(line)
         except OSError as exc:
             if records_end is not None:  # the next append cuts a half-written line off
                 self._cut_at = records_end
             raise StoreWriteError(f"cannot append {record.dump_id!r}") from exc
         self._cut_at, self._end_line = None, False
+        self._size = records_end + len(line)
         self._sequences[record.dump_id] = sequence
         self._index(record)
 
-    def _migrate_v1(self) -> None:
-        """Write the blocks of a v1 store's ``sequences/*.tsv`` files, in
-        record order, to a new log; the v1 files stay as they are.
+    def write_checkpoint(self) -> bool:
+        """Write a checkpoint covering every record when at least
+        ``CHECKPOINT_EVERY`` rows are not covered by the one read at open;
+        True if one was written.
+
+        Only a writer holding ``writer_lock`` calls this, after its append:
+        the covered bytes are read back from ``bugs.ndjson``, so no other
+        process may write to it meanwhile.
+        """
+        if len(self) - self._covered < CHECKPOINT_EVERY or self._cut_at is not None or self._end_line:
+            return False
+        with open(self._records_path, "rb") as fh:
+            data = fh.read(self._size)
+        times, bug_ids = [0] * len(self), [0] * len(self)
+        for stamp, bug_id, row in self._ordered:
+            times[row] = stamp if self._micros else _utc_micros(stamp)
+            bug_ids[row] = bug_id
+        find = self._groups.find
+        payload = json.dumps(
+            {
+                "format": _CHECKPOINT_FORMAT,
+                "length": len(data),
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "bug_id": bug_ids,
+                "dump_id": list(self._rows),
+                "creation_time": times,
+                "canonical_bug": [find(bug_id) for bug_id in bug_ids],
+                "waiting": list(self._groups.waiting.items()),
+            },
+            separators=(",", ":"),
+        ).encode()
+        digest = hashlib.sha256(payload).hexdigest().encode()
+        self._replace(self._checkpoint_path, digest + b"\n" + payload, "write the checkpoint of")
+        self._covered = len(self)
+        return True
+
+    def _replace(self, path: str, data: bytes, what: str) -> None:
+        """Write data to a temporary file, then move it over path."""
+        staged = f"{path}.tmp"
+        try:
+            with open(staged, "wb") as fh:
+                fh.write(data)
+            os.replace(staged, path)
+        except OSError as exc:
+            raise StoreWriteError(f"cannot {what} {self.root}") from exc
+
+    def _migrate_v1(self) -> str:
+        """The log text holding the blocks of a v1 store's
+        ``sequences/*.tsv`` files, in record order; the v1 files stay as
+        they are.
 
         The files are globbed, so no path is built from a stored dump id. A
         record without a readable v1 file gets no block.
@@ -444,7 +586,7 @@ class FailureStore:
             for path in (self.root / _V1_SEQUENCE_DIR).glob("*.tsv")
         }
         blocks = []
-        for record in self._by_dump.values():
+        for record in self.records:
             path = v1_texts.get(record.dump_id)
             if path is None:
                 continue
@@ -453,12 +595,46 @@ class FailureStore:
             except (OSError, ValueError, EmptyStack):
                 continue
             blocks.append(f"\n{record.bug_id}\n{sequence_to_text(sequence)}")
-        staged = self.root / f"{_SEQUENCE_LOG}.tmp"
-        try:
-            staged.write_bytes("".join(blocks).encode())
-            os.replace(staged, self._log_path)
-        except OSError as exc:
-            raise StoreWriteError(f"cannot migrate the sequences of {self.root}") from exc
+        return "".join(blocks)
+
+
+def _checkpoint_columns(raw: bytes, data: bytes):
+    """The columns of checkpoint bytes ``raw`` when they are intact and
+    well formed and cover a prefix of ``data``, the bytes of
+    ``bugs.ndjson``; None otherwise.
+
+    A checkpoint is the hex sha256 of its payload, a ``\n``, then the
+    payload: a JSON object giving the byte length it covers (ending at a
+    ``\n``), the sha256 of those bytes, one column per covered record line
+    (bug id, dump id, creation time as UTC microseconds, canonical bug) and
+    the ``dupe_of`` edges still waiting for their target.
+    """
+    digest, _, payload = raw.partition(b"\n")
+    if hashlib.sha256(payload).hexdigest().encode() != digest:
+        return None
+    try:
+        checkpoint = json.loads(payload)
+        length = checkpoint["length"]
+        columns = [checkpoint[name] for name in _CHECKPOINT_COLUMNS]
+        waiting, expected = checkpoint["waiting"], checkpoint["sha256"]
+        if checkpoint["format"] != _CHECKPOINT_FORMAT or type(length) is not int:
+            return None
+    except (ValueError, KeyError, TypeError):
+        return None
+    if not 0 < length <= len(data) or data[length - 1] != ord("\n"):
+        return None
+    if hashlib.sha256(memoryview(data)[:length]).hexdigest() != expected:
+        return None
+    for column, kind in zip(columns, _CHECKPOINT_COLUMNS.values()):
+        if type(column) is not list or len(column) != len(columns[0]) or set(map(type, column)) - {kind}:
+            return None
+    if type(waiting) is not list or not all(
+        type(edge) is list and len(edge) == 2 and type(edge[0]) is int
+        and type(edge[1]) is list and not set(map(type, edge[1])) - {int}
+        for edge in waiting
+    ):
+        return None
+    return (length, *columns, waiting)
 
 
 @contextlib.contextmanager

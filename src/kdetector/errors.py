@@ -58,6 +58,10 @@ class MalformedRecord(KDetectorError):
     """A failure-store record line is not a valid record."""
 
 
+class MissingStore(KDetectorError):
+    """A read-only open found no failure store at the path."""
+
+
 class MissingSequence(KDetectorError):
     """The store holds no component sequence for a dump."""
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kdetector.cli import main
+from kdetector.detector import FailureStore
 
 
 def run(capsys, *argv):
@@ -151,6 +152,21 @@ def test_detect_bind_files_new_bug(workspace, capsys):
     assert follow_up["bug_id"] == 1
 
 
+def test_read_only_detect_on_a_missing_store_is_a_data_error(workspace, capsys):
+    """A mistyped --store must not triage against nothing: a read-only
+    detect names the path, exits 2 and creates nothing."""
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    store = workspace / "no" / "such" / "store"
+    before = sorted(workspace.rglob("*"))
+    code, out, err = run(
+        capsys, "detect", workspace / "corpus" / "dumps" / "d000_0.dump",
+        *pipeline_args(workspace), "--store", store, "--params", workspace / "params.txt",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(store) in err
+    assert sorted(workspace.rglob("*")) == before
+
+
 def test_usage_error_exits_one(capsys):
     assert run(capsys, "no-such-command")[0] == 1
     assert run(capsys)[0] == 1
@@ -218,7 +234,8 @@ def test_negative_detect_window_is_usage_error(workspace, capsys, option, value)
     assert code == 1
     assert option in err and out == ""
     assert not store.exists()
-    # zero stays valid: an empty window
+    # zero stays valid: an empty window (a read-only detect needs a store)
+    FailureStore(store)
     code, out, _ = run(capsys, "detect", dump, *common, option, "0")
     assert code == 0
     assert json.loads(out)["candidates_considered"] == 0

@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from kdetector import detector
 from kdetector.cli import main
 from kdetector.detector import FailureStore
 
@@ -133,6 +134,26 @@ def test_artifact_is_byte_identical(regenerated, name):
 
 def test_sequences_are_byte_identical(regenerated):
     assert regenerated["sequences.log"] == (GOLDEN / "sequences.log").read_bytes()
+
+
+def test_replay_through_the_checkpoint_is_byte_identical(tmp_path, monkeypatch):
+    """With a checkpoint written after every append, every command after the
+    first opens from one, and the store and reports keep their bytes."""
+    monkeypatch.setattr(detector, "CHECKPOINT_EVERY", 1)
+    verified = []
+    real = detector._checkpoint_columns
+
+    def counting(raw, data):
+        columns = real(raw, data)
+        verified.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(detector, "_checkpoint_columns", counting)
+    artifacts = regenerate(tmp_path)
+    assert verified == [True] * (len(INGESTED) + len(DETECTED) - 1)
+    assert sorted(artifacts) == sorted([*_golden(), "bugs.checkpoint"])
+    for name in ("detect.stdout", "bugs.ndjson", "sequences.log"):
+        assert artifacts[name] == (GOLDEN / name).read_bytes(), name
 
 
 def test_v1_store_migrates_and_replays_the_same_reports(tmp_path):

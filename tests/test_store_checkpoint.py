@@ -33,7 +33,7 @@ from kdetector.similarity import ModelParams
 from kdetector.stopwords import StopWordList
 
 from conftest import make_component_map, make_dump_text, make_sequence
-from test_store_index import APPEND, DUMP_IDS, EPOCH, NOWS, PLUS_TWO, WINDOWS
+from test_store_index import APPEND, DUMP_IDS, EPOCH, NOWS, PLUS_TWO, WINDOWS, _cli_inputs
 
 CHECKPOINT = "bugs.checkpoint"
 UTC = datetime.timezone.utc
@@ -208,21 +208,13 @@ def test_blank_lines_inside_the_covered_range(tmp_path):
         FailureStore(root)
 
 
-def _pipeline(root: Path) -> list[str]:
-    (root / "map.tsv").write_text("#version 1 mined=x\napp::A::f1\tCompA\napp::B::g1\tCompB\n")
-    (root / "stop.tsv").write_text("#cutoff: 0\n")
-    (root / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
-    return ["--map", str(root / "map.tsv"), "--stoplist", str(root / "stop.tsv"),
-            "--params", str(root / "params.txt")]
-
-
 def _detect(root: Path, store: Path, *extra: str) -> tuple[int, str, str]:
     dump = root / "probe.dump"
     dump.write_text(make_dump_text(["app::A::f1"], dump_id="probe",
                                    time=(EPOCH + datetime.timedelta(hours=20)).isoformat()))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["detect", str(dump), "--store", str(store), *_pipeline(root), *extra])
+        code = main(["detect", str(dump), "--store", str(store), *_cli_inputs(root), *extra])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -367,7 +359,7 @@ def test_writers_keep_it_and_readers_never_write_it(tmp_path, monkeypatch):
     records are uncovered; a read-only detect and a Detector never do."""
     monkeypatch.setattr(detector, "CHECKPOINT_EVERY", 3)
     store = tmp_path / "store"
-    options = ["--store", str(store), *_pipeline(tmp_path)]
+    options = ["--store", str(store), *_cli_inputs(tmp_path)]
     for i in range(5):
         dump = tmp_path / f"d{i}.dump"
         dump.write_text(make_dump_text(["app::A::f1"] if i % 2 else ["app::B::g1"], dump_id=f"d{i}"))

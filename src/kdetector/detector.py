@@ -56,14 +56,18 @@ that ends at a ``\n``. It holds that byte length, the sha256 of those
 bytes, one column per covered record line (bug id, dump id, creation time
 as integer UTC microseconds, canonical bug) and the ``dupe_of`` edges still
 waiting for their target, behind a sha256 of its own. Open uses it only
-when both hashes match and the columns are well formed: it fills the index
-from the columns, decodes and checks only the lines past the covered
-range, and builds a covered record from its line only when a window,
-``records`` or the v1 migration asks for it. In every other case (no
-checkpoint, a stale, truncated or garbled one, or an edit inside the
-covered range) open decodes and checks every line, as above. Every covered
-line was checked by the full open or append that indexed it before a
-checkpoint covered it. Only ``kdetector ingest`` and ``detect --bind``
+when both hashes match and the columns are well formed: typed, one entry
+per covered line, no bug id or dump id twice, every canonical bug a stored
+root no larger than its own bug id, and every waiting edge joining stored
+bugs to one not stored. It then fills the index from the columns, decodes
+and checks only the lines past the covered range, and builds a covered
+record from its line only when a window, ``records`` or the v1 migration
+asks for it. In every other case (no checkpoint, a stale, truncated or
+garbled one, or an edit inside the covered range) open decodes and checks
+every line, as above. Beyond those checks the columns are trusted to agree
+with the covered lines: checking that would mean decoding them. Every
+covered line was checked by the full open or append that indexed it
+before a checkpoint covered it. Only ``kdetector ingest`` and ``detect --bind``
 write one, under the writer lock and after their append, once
 ``CHECKPOINT_EVERY`` records are not covered, through a temporary file and
 ``os.replace``; a ``FailureStore`` or ``Detector`` used in-process never
@@ -301,12 +305,10 @@ class FailureStore:
         self._records: list[FailureRecord | None] = []  # per row; None until first asked for
         self._lines: list[str] = []  # the record lines of the checkpoint's rows
         self._max_bug_id: int | None = None
-        # (creation time, bug id, row), by time and bug id once sorted. The
-        # time is the record's datetime, or its UTC microseconds after a
-        # checkpoint open, so a full open converts no times (7% of its cost)
+        # (creation time as UTC microseconds, bug id, row), by time and bug
+        # id once sorted
         self._ordered: list[tuple] = []
         self._unsorted = False  # a record may have arrived out of order since the last sort
-        self._micros = False  # the times in _ordered are UTC microseconds
         self._groups = UnionFind()  # dupe_of groups; its items are the stored bug ids
         start, line_count = self._open_checkpoint(data)  # the lines before start are indexed
         self._covered = len(self._records)  # rows the checkpoint read at open covers
@@ -361,13 +363,21 @@ class FailureStore:
         # one line per row, and no dump id or bug id twice
         if not len(lines) == len(rows) == len(parent) == len(bug_ids):
             return 0, 0
+        # each canonical bug is a stored root no larger than its own bug id,
+        # and each waiting edge joins stored bugs to one not stored, so
+        # find neither loops nor misses
+        if any(parent.get(root) != root or root > bug_id for bug_id, root in parent.items()):
+            return 0, 0
+        waiting = dict(waiting)
+        if any(target in parent or not parent.keys() >= set(items) for target, items in waiting.items()):
+            return 0, 0
         self._rows, self._lines = rows, lines
         self._records = [None] * len(bug_ids)
         self._max_bug_id = max(bug_ids, default=None)
         self._ordered = list(zip(times, bug_ids, range(len(bug_ids))))
-        self._unsorted = self._micros = True
+        self._unsorted = True
         self._groups.parent = parent
-        self._groups.waiting = {target: items for target, items in waiting}
+        self._groups.waiting = waiting
         return length, line_count
 
     def _open_line(self, number: int, line: str) -> None:
@@ -392,7 +402,7 @@ class FailureStore:
         self._records.append(record)
         if self._max_bug_id is None or record.bug_id > self._max_bug_id:
             self._max_bug_id = record.bug_id
-        stamp = _utc_micros(record.creation_time) if self._micros else record.creation_time
+        stamp = _utc_micros(record.creation_time)
         # comparing times alone is cheaper; a tie marks a sort it may not need
         if self._ordered and stamp <= self._ordered[-1][0]:
             self._unsorted = True
@@ -503,7 +513,7 @@ class FailureStore:
         except OverflowError:  # the horizon falls before datetime.min
             return 0
         # (horizon,) sorts before every entry whose time is horizon
-        return bisect.bisect_left(self._ordered, (_utc_micros(horizon) if self._micros else horizon,))
+        return bisect.bisect_left(self._ordered, (_utc_micros(horizon),))
 
     def append(self, record: FailureRecord, sequence: ComponentSequence) -> None:
         """Write the sequence's block to the log, then the record's line; a
@@ -544,7 +554,7 @@ class FailureStore:
             data = fh.read(self._size)
         times, bug_ids = [0] * len(self), [0] * len(self)
         for stamp, bug_id, row in self._ordered:
-            times[row] = stamp if self._micros else _utc_micros(stamp)
+            times[row] = stamp
             bug_ids[row] = bug_id
         find = self._groups.find
         payload = json.dumps(
@@ -566,13 +576,16 @@ class FailureStore:
         return True
 
     def _replace(self, path: str, data: bytes, what: str) -> None:
-        """Write data to a temporary file, then move it over path."""
+        """Write data to a temporary file, then move it over path; a failed
+        write leaves no temporary file behind."""
         staged = f"{path}.tmp"
         try:
             with open(staged, "wb") as fh:
                 fh.write(data)
             os.replace(staged, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(staged)
             raise StoreWriteError(f"cannot {what} {self.root}") from exc
 
     def _migrate_v1(self) -> str:

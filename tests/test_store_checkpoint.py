@@ -334,6 +334,11 @@ def _resealed(payload: dict) -> bytes:
         {"creation_time": [0] * 11},
         {"dump_id": ["d0"] * 12},  # a repeated dump id
         {"canonical_bug": [None] * 12},
+        {"canonical_bug": [11, 10, *range(12, 22)]},  # a cycle
+        {"canonical_bug": [5, *range(11, 22)]},  # a bug id that is not stored
+        {"canonical_bug": [11, 11, *range(12, 22)]},  # larger than its own bug id
+        {"waiting": [[10, [17]]]},  # waiting for a stored bug id
+        {"waiting": [[99, [5]]]},  # a waiting bug id that is not stored
         {"waiting": [[99]]},
         {"waiting": [[99, ["17"]]]},
         {"waiting": {"99": [17]}},
@@ -343,7 +348,8 @@ def _resealed(payload: dict) -> bytes:
 )
 def test_a_resealed_checkpoint_with_bad_columns_opens_in_full(tmp_path, change):
     """A checkpoint whose own hash holds but whose columns are not well
-    formed (a later format, say) is not used."""
+    formed (a later format, say, or canonical bugs that would make find
+    loop or miss) is not used."""
     root = tmp_path / "store"
     _build(root)
     payload = json.loads((root / CHECKPOINT).read_bytes().partition(b"\n")[2])
@@ -389,6 +395,7 @@ def test_a_checkpoint_that_cannot_be_written_is_only_a_warning(tmp_path, monkeyp
     assert code == 0 and json.loads(out)["verdict"] == "new"
     assert err.startswith("warning: no checkpoint written: cannot write the checkpoint of")
     assert FailureStore(store).has_dump("probe")
+    assert not (store / f"{CHECKPOINT}.tmp").exists()
 
 
 def test_a_read_only_open_of_a_v1_store_writes_nothing(tmp_path):

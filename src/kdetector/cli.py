@@ -9,9 +9,13 @@ prints an AUC table against the two baseline comparators, and ``ingest``
 the store's writer lock from before it opens until after the append, so
 concurrent per-crash processes never mint the same bug id, and under it
 they refresh the store's record checkpoint once enough records have been
-appended since the last one. A read-only ``detect`` takes no lock and
-writes nothing; a store that does not exist is a data error for it. Exit
-codes: 0 success, 1 usage error, 2 data error.
+appended since the last one. They read the dump, the map and the stop list
+before they take the lock, so one that is missing leaves no store behind.
+A read-only ``detect`` takes no lock and writes nothing; a store that does
+not exist is a data error for it. A dump that is not UTF-8 text or not a
+usable dump is a data error naming the file, except to ``stopwords``,
+which skips it with a warning. Exit codes: 0 success, 1 usage error, 2
+data error.
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ from pathlib import Path
 
 from .detector import Detector, FailureStore, RecencyWindow, render_report, writer_lock
 from .dump_parser import parse_dump
-from .errors import EmptyCorpus, KDetectorError, StoreWriteError
+from .errors import (
+    EmptyCorpus,
+    EmptyStack,
+    KDetectorError,
+    MalformedDump,
+    MalformedHeader,
+    MissingSection,
+    StoreWriteError,
+)
 from .knowledge_miner import (
     ComponentMap,
     dump_component_map,
@@ -166,15 +178,34 @@ def _load_params(args) -> ModelParams:
     return parse_params(Path(args.params).read_text())
 
 
+# what a dump that is not UTF-8 text or not a usable dump raises
+_DUMP_ERRORS = (UnicodeDecodeError, MalformedHeader, MissingSection, EmptyStack)
+
+
+@contextlib.contextmanager
+def _naming(dump_path):
+    """Raise a dump's decode or parse error as a MalformedDump naming the file."""
+    try:
+        yield
+    except _DUMP_ERRORS as exc:
+        raise MalformedDump(f"{dump_path}: {exc}") from None
+
+
+def _read_dump(dump_path) -> str:
+    with _naming(dump_path):
+        return Path(dump_path).read_text()
+
+
 def _load_dumps(dump_ids, dumps_dir, cmap, stop_list):
     """Parse each dump once; returns the component sequences and, for the
     baselines, the cleaned backtrace names without stop-word filtering."""
     sequences, names = {}, {}
     for dump_id in sorted(dump_ids):
-        text = (Path(dumps_dir) / f"{dump_id}.dump").read_text()
-        dump = parse_dump(text, dump_id)
-        frames = filter_stop_words(dump.backtrace_frames, stop_list)
-        sequences[dump_id] = to_component_sequence(frames, cmap, dump_id=dump_id)
+        path = Path(dumps_dir) / f"{dump_id}.dump"
+        with _naming(path):
+            dump = parse_dump(path.read_text(), dump_id)
+            frames = filter_stop_words(dump.backtrace_frames, stop_list)
+            sequences[dump_id] = to_component_sequence(frames, cmap, dump_id=dump_id)
         names[dump_id] = [f.function_name for f in dump.backtrace_frames]
     return sequences, names
 
@@ -202,7 +233,7 @@ def _cmd_stopwords(args) -> int:
     for path in sorted(Path(args.corpus_dir).glob("*.dump")):
         try:
             corpus.append(parse_dump(path.read_text()))
-        except KDetectorError as exc:
+        except (KDetectorError, UnicodeDecodeError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
     if not corpus:
         raise EmptyCorpus(f"no parseable dumps under {args.corpus_dir}")
@@ -256,11 +287,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _detector(args, params: ModelParams, read_only: bool = False) -> Detector:
-    store = FailureStore(args.store, read_only=read_only)
-    return Detector(store, _load_map(args), _load_stoplist(args), params)
-
-
 def _write_checkpoint(store: FailureStore) -> None:
     """The record is stored already, so a checkpoint that cannot be
     written is only a warning; the next writer tries again."""
@@ -271,10 +297,12 @@ def _write_checkpoint(store: FailureStore) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    text = Path(args.dump).read_text()
+    text = _read_dump(args.dump)
+    cmap, stop_list = _load_map(args), _load_stoplist(args)
     with writer_lock(args.store):
-        detector = _detector(args, ModelParams(1.0, 1.0))
-        record, _ = detector.ingest(text, dump_path=str(args.dump))
+        detector = Detector(FailureStore(args.store), cmap, stop_list, ModelParams(1.0, 1.0))
+        with _naming(args.dump):
+            record, _ = detector.ingest(text, dump_path=str(args.dump))
         _write_checkpoint(detector.store)
     print(json.dumps({"ingested": record.dump_id, "bug_id": record.bug_id}))
     return 0
@@ -284,13 +312,16 @@ def _cmd_detect(args) -> int:
     _at_least("--window-days", args.window_days, 0)
     _at_least("--last-k", args.last_k, 0)
     params = _load_params(args)
-    text = Path(args.dump).read_text()
+    text = _read_dump(args.dump)
+    cmap, stop_list = _load_map(args), _load_stoplist(args)
     window = RecencyWindow(days=args.window_days, last_k=args.last_k)
     with writer_lock(args.store) if args.bind else contextlib.nullcontext():
-        detector = _detector(args, params, read_only=not args.bind)
-        result = detector.triage(
-            text, dump_path=str(args.dump), window=window, bind=args.bind
-        )
+        store = FailureStore(args.store, read_only=not args.bind)
+        detector = Detector(store, cmap, stop_list, params)
+        with _naming(args.dump):
+            result = detector.triage(
+                text, dump_path=str(args.dump), window=window, bind=args.bind
+            )
         if args.bind:
             _write_checkpoint(detector.store)
     print(render_report(result))

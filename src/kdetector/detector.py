@@ -92,6 +92,7 @@ from .errors import (
     DuplicateBugId,
     DuplicateDumpId,
     EmptyStack,
+    MalformedHeader,
     MalformedRecord,
     MissingSequence,
     MissingStore,
@@ -813,7 +814,10 @@ def _better(
 
 
 def _parse_time(text: str) -> datetime.datetime:
-    stamp = datetime.datetime.fromisoformat(text.replace("Z", "+00:00"))
+    try:
+        stamp = datetime.datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise MalformedHeader(f"[HEADER] time {text!r} is not an ISO 8601 time") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=datetime.timezone.utc)
     return stamp

@@ -1,4 +1,4 @@
-"""Crash-dump text parsing and stack-frame cleaning.
+r"""Crash-dump text parsing and stack-frame cleaning.
 
 Dump files are UTF-8 text made of bracketed sections. A ``[HEADER]`` block
 of ``key: value`` lines (``pid`` and ``time`` are required) comes first,
@@ -11,6 +11,51 @@ sub-block precedes a ``backtrace:`` sub-block; frame lines look like::
 Cleaning keeps only the fully qualified function name. Frames without a
 symbol and auxiliary detail lines (``SFrame``, ``Params``, ``Regs``) are
 dropped, not errored; drops are tallied in the parse report.
+
+Most frame lines have one canonical shape, with single spaces::
+
+    I: [RET ...]NAME(ARGS) + 0xOFF at FILE:LINE
+
+``I`` and ``LINE`` are ASCII digits, ``OFF`` hex digits, ``FILE`` any run of
+non-whitespace, ``ARGS`` anything but ``(`` and ``)``, each return-type
+token ``RET`` a run of non-whitespace without ``(`` or ``)``, and ``NAME``
+follows ``_NAME_RE``'s grammar with ``(`` and ``)`` also left out of
+template arguments. ``_extract_frames`` tries one match of that shape
+(``_CANONICAL_RE``, whose lookahead reaches the end of the line) on each
+stack line and takes the index and the name from its groups; any other
+line goes through ``clean_frame``'s general rules. A match gives what the
+general rules give. The argument, step by step, for a line out of
+``splitlines()`` (so no ``\n`` in it; ``\s`` in these patterns,
+``str.strip`` and ``str.split`` agree on whitespace):
+
+1. Aux check: the line starts with a digit, so ``_AUX_RE`` does not match.
+2. Index: ``_INDEX_RE`` takes ``I`` as its group 1, as the canonical match
+   does, and the rest after the one space as the text (``.*`` runs to the
+   end of a line without ``\n``).
+3. Address strip: ``_ADDRESS_RE`` can remove only ``0x``-led chunks and
+   whitespace from the front, so at most some ``RET`` tokens; ``NAME``
+   starts with ``~``, ``_`` or a letter, never ``0``, so it stops before
+   ``NAME`` and leaves no whitespace at the front. The text ends in a
+   ``LINE`` digit, so ``strip`` changes nothing.
+4. Suffix strips, first round: a ``_AT_SUFFIX_RE`` match ends at the end,
+   which is a digit, so its ``\S+:\d+`` is the last whitespace-free token
+   (``FILE:LINE``) and its ``at`` the token before; the space before
+   ``at`` follows a hex digit, so the sub removes `` at FILE:LINE``. A ``_OFFSET_SUFFIX_RE``
+   match then needs ``0x`` and hex digits up to the end: that ``x`` is the
+   last one, in ``0xOFF``, the ``+`` the last non-whitespace before it and
+   the space before ``+`` follows ``)``, so the sub removes `` + 0xOFF``
+   and leaves ``[RET ...]NAME(ARGS)``.
+5. Second round: both suffix patterns need a hex digit or whitespace at
+   the end, and the text ends in ``)``, so neither matches.
+6. Cut at the first ``(``: neither ``RET`` nor ``NAME`` holds one, so the
+   cut leaves what was left of ``[RET ...]NAME``, ending in ``NAME``.
+7. Last token and ``_NAME_RE``: ``NAME`` holds no whitespace and follows a
+   space or starts the text, so it is the last token of ``split()``; its
+   grammar is a part of ``_NAME_RE``'s, so it matches and is returned.
+
+A line with other spacing, a ``const`` after the arguments, the suffixes
+in the other order or a ``(`` inside a template takes the general rules,
+at the cost of one failed match.
 """
 
 from __future__ import annotations
@@ -27,10 +72,21 @@ _ADDRESS_RE = re.compile(r"^(?:0x[0-9a-fA-F]+\s*)+")
 _AT_SUFFIX_RE = re.compile(r"\s+at\s+\S+:\d+\s*$")
 _OFFSET_SUFFIX_RE = re.compile(r"\s*\+\s*0x[0-9a-fA-F]+\s*$")
 _AUX_RE = re.compile(r"^\s*(SFrame|Params|Regs)\b")
-# identifier path, each segment optionally templated (no spaces inside <>)
-_NAME_RE = re.compile(
-    r"^~?[A-Za-z_][A-Za-z0-9_]*(?:<[^<>\s]*>)?"
-    r"(?:::~?[A-Za-z_][A-Za-z0-9_]*(?:<[^<>\s]*>)?)*$"
+
+
+def _qualified_name(template_char: str) -> str:
+    """Identifier path, each segment optionally templated by template_char."""
+    segment = rf"~?[A-Za-z_][A-Za-z0-9_]*(?:<{template_char}*>)?"
+    return rf"{segment}(?:::{segment})*"
+
+
+# no spaces inside <>
+_NAME_RE = re.compile("^" + _qualified_name(r"[^<>\s]") + "$")
+# see the module docstring; the lookahead checks the tail first, so most
+# lines of another shape fail without backtracking through the name
+_CANONICAL_RE = re.compile(
+    r"([0-9]+): (?=[^()]*\([^()]*\) \+ 0x[0-9a-fA-F]+ at \S+:[0-9]+\Z)"
+    r"(?:[^\s()]+ )*(" + _qualified_name(r"[^<>\s()]") + r")\("
 )
 
 CRASH_STACK = "[CRASH_STACK]"
@@ -73,10 +129,14 @@ def clean_frame(raw_line: str) -> str | None:
     (``SFrame``/``Params``/``Regs``), an address-only or ``<no symbol>``
     frame, or text that does not reduce to a qualified name.
     """
+    return _clean_general(raw_line, _INDEX_RE.match(raw_line))
+
+
+def _clean_general(raw_line: str, index_match: re.Match | None) -> str | None:
+    """``clean_frame`` given the line's ``_INDEX_RE`` match."""
     if _AUX_RE.match(raw_line):
         return None
-    m = _INDEX_RE.match(raw_line)
-    text = m.group(2) if m else raw_line.strip()
+    text = index_match.group(2) if index_match else raw_line.strip()
     text = _ADDRESS_RE.sub("", text).strip()
     # suffixes may appear in either order; strip both, twice
     for _ in range(2):
@@ -123,14 +183,13 @@ def _parse_header(block: str) -> dict[str, str]:
 def _extract_frames(block: str) -> tuple[list[StackFrame], list[StackFrame], ParseReport]:
     exception: list[StackFrame] = []
     backtrace: list[StackFrame] = []
-    has_markers = any(
-        line.strip() in ("exception:", "backtrace:") for line in block.splitlines()
-    )
+    lines = block.splitlines()
+    has_markers = any(line.strip() in ("exception:", "backtrace:") for line in lines)
     # with no markers at all, the whole section is the backtrace
     target: list[StackFrame] | None = backtrace if not has_markers else None
     candidates = 0
     skipped = 0
-    for line in block.splitlines():
+    for line in lines:
         stripped = line.strip()
         if not stripped:
             continue
@@ -141,13 +200,18 @@ def _extract_frames(block: str) -> tuple[list[StackFrame], list[StackFrame], Par
             target = backtrace
             continue
         candidates += 1
-        name = clean_frame(line)
+        # both patterns hold the index in group 1
+        m = _CANONICAL_RE.match(line)
+        if m:
+            name = m.group(2)
+        else:
+            m = _INDEX_RE.match(line)
+            name = _clean_general(line, m)
         if name is None or target is None:
             skipped += 1
             continue
-        m = _INDEX_RE.match(line)
         index = int(m.group(1)) if m else len(target)
-        target.append(StackFrame(index=index, raw_text=line, function_name=name))
+        target.append(StackFrame(index, line, name))
     return exception, backtrace, ParseReport(candidates, skipped)
 
 

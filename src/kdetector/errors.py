@@ -17,6 +17,11 @@ class EmptyStack(KDetectorError):
     """A crash stack yielded no usable frames."""
 
 
+class MalformedDump(KDetectorError):
+    """A dump file is not UTF-8 text or not a usable dump; the message
+    names the file."""
+
+
 class ManifestSyntaxError(KDetectorError):
     """A SET_COMPONENT directive could not be parsed."""
 

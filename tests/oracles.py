@@ -18,17 +18,20 @@ outputs the live code must keep.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import itertools
 import logging
 import math
 import random
+import re
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from kdetector.detector import FailureRecord
-from kdetector.errors import DegenerateSet, EmptyStack
+from kdetector.dump_parser import CRASH_STACK, HEADER, CrashDump, ParseReport, StackFrame
+from kdetector.errors import DegenerateSet, EmptyStack, MalformedHeader, MissingSection
 from kdetector.sequencer import ComponentOccurrence, ComponentSequence, component_distance
 from kdetector.similarity import MatchedPair, ModelParams, PairFeatures
 from kdetector.trainer import (
@@ -359,3 +362,134 @@ def sample_pairs(
     else:
         negatives = rng.sample(candidates, len(positives))
     return positives + negatives
+
+
+# dump parsing, before canonical frame lines took one fullmatch
+
+_SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.-]+)\]\s*$")
+_INDEX_RE = re.compile(r"^\s*(\d+):\s*(.*)$")
+_ADDRESS_RE = re.compile(r"^(?:0x[0-9a-fA-F]+\s*)+")
+_AT_SUFFIX_RE = re.compile(r"\s+at\s+\S+:\d+\s*$")
+_OFFSET_SUFFIX_RE = re.compile(r"\s*\+\s*0x[0-9a-fA-F]+\s*$")
+_AUX_RE = re.compile(r"^\s*(SFrame|Params|Regs)\b")
+# identifier path, each segment optionally templated (no spaces inside <>)
+_NAME_RE = re.compile(
+    r"^~?[A-Za-z_][A-Za-z0-9_]*(?:<[^<>\s]*>)?"
+    r"(?:::~?[A-Za-z_][A-Za-z0-9_]*(?:<[^<>\s]*>)?)*$"
+)
+
+
+def clean_frame(raw_line: str) -> str | None:
+    """Return the bare qualified function name for a frame line, or None.
+
+    None means the line carries no usable symbol: auxiliary detail
+    (``SFrame``/``Params``/``Regs``), an address-only or ``<no symbol>``
+    frame, or text that does not reduce to a qualified name.
+    """
+    if _AUX_RE.match(raw_line):
+        return None
+    m = _INDEX_RE.match(raw_line)
+    text = m.group(2) if m else raw_line.strip()
+    text = _ADDRESS_RE.sub("", text).strip()
+    # suffixes may appear in either order; strip both, twice
+    for _ in range(2):
+        text = _AT_SUFFIX_RE.sub("", text)
+        text = _OFFSET_SUFFIX_RE.sub("", text)
+    paren = text.find("(")
+    if paren >= 0:
+        text = text[:paren]
+    text = text.strip()
+    if not text:
+        return None
+    # whatever precedes the final whitespace run is the return type
+    name = text.split()[-1]
+    if not _NAME_RE.match(name):
+        return None
+    return name
+
+
+def _split_sections(text: str) -> dict[str, str]:
+    sections: dict[str, list[str]] = {}
+    current: list[str] | None = None
+    for line in text.splitlines():
+        m = _SECTION_RE.match(line)
+        if m:
+            name = f"[{m.group(1)}]"
+            current = sections.setdefault(name, [])
+        elif current is not None:
+            current.append(line)
+    return {name: "\n".join(lines) for name, lines in sections.items()}
+
+
+def _parse_header(block: str) -> dict[str, str]:
+    header: dict[str, str] = {}
+    for line in block.splitlines():
+        if ":" not in line:
+            continue
+        key, value = line.split(":", 1)
+        key = key.strip()
+        if key:
+            header[key] = value.strip()
+    return header
+
+
+def _extract_frames(block: str) -> tuple[list[StackFrame], list[StackFrame], ParseReport]:
+    exception: list[StackFrame] = []
+    backtrace: list[StackFrame] = []
+    has_markers = any(
+        line.strip() in ("exception:", "backtrace:") for line in block.splitlines()
+    )
+    # with no markers at all, the whole section is the backtrace
+    target: list[StackFrame] | None = backtrace if not has_markers else None
+    candidates = 0
+    skipped = 0
+    for line in block.splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped == "exception:":
+            target = exception
+            continue
+        if stripped == "backtrace:":
+            target = backtrace
+            continue
+        candidates += 1
+        name = clean_frame(line)
+        if name is None or target is None:
+            skipped += 1
+            continue
+        m = _INDEX_RE.match(line)
+        index = int(m.group(1)) if m else len(target)
+        target.append(StackFrame(index=index, raw_text=line, function_name=name))
+    return exception, backtrace, ParseReport(candidates, skipped)
+
+
+def parse_dump(text: str, dump_id: str | None = None) -> CrashDump:
+    """Parse a complete dump file into a CrashDump.
+
+    Raises MalformedHeader if the [HEADER] block or its required ``pid``/
+    ``time`` keys are missing, MissingSection if there is no [CRASH_STACK],
+    and EmptyStack if the backtrace yields zero valid frames.
+    """
+    sections = _split_sections(text)
+    if HEADER not in sections:
+        raise MalformedHeader("dump has no [HEADER] block")
+    header = _parse_header(sections[HEADER])
+    for key in ("pid", "time"):
+        if key not in header:
+            raise MalformedHeader(f"[HEADER] is missing required key {key!r}")
+    if CRASH_STACK not in sections:
+        raise MissingSection("dump has no [CRASH_STACK] section")
+    exception, backtrace, report = _extract_frames(sections[CRASH_STACK])
+    if not backtrace:
+        raise EmptyStack("[CRASH_STACK] backtrace yielded no valid frames")
+    if dump_id is None:
+        dump_id = header.get("dump_id") or hashlib.sha1(text.encode()).hexdigest()[:12]
+    return CrashDump(
+        dump_id=dump_id,
+        header=header,
+        sections=sections,
+        exception_frames=exception,
+        backtrace_frames=backtrace,
+        report=report,
+    )

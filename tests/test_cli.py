@@ -332,3 +332,70 @@ def test_config_that_is_not_valid_json_is_usage_error(workspace, capsys, monkeyp
     assert err.startswith("usage error: argument --config: config.json is not valid JSON")
     assert out == ""
     assert not (workspace / "corpus2").exists()
+
+
+def writer_argv(workspace, command, dump, store):
+    """An ingest or detect --bind command line over the workspace."""
+    argv = [command, dump, *pipeline_args(workspace), "--store", store]
+    if command == "detect":
+        (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+        argv += ["--params", workspace / "params.txt", "--bind"]
+    return argv
+
+
+@pytest.mark.parametrize("missing", ["--map", "--stoplist"])
+@pytest.mark.parametrize("command", ["ingest", "detect"])
+def test_a_failed_writer_leaves_no_store_behind(workspace, capsys, command, missing):
+    """ingest and detect --bind read the map and the stop list before the
+    writer lock makes the store, so a missing one creates nothing."""
+    store = workspace / "new-store"
+    argv = writer_argv(workspace, command, workspace / "corpus" / "dumps" / "d000_0.dump", store)
+    argv[argv.index(missing) + 1] = workspace / "no-such.tsv"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "no-such.tsv" in err
+    assert not store.exists()
+
+
+BAD_DUMPS = {
+    "not-utf8": b"[HEADER]\npid: 1\xff\n",
+    "no-header": b"[CRASH_STACK]\nbacktrace:\n0: void a::b() + 0x1 at f.c:1\n",
+    "bad-time": b"[HEADER]\npid: 1\ntime: soon\n[CRASH_STACK]\n0: void a::b() + 0x1 at f.c:1\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_DUMPS))
+@pytest.mark.parametrize("command", ["ingest", "detect"])
+def test_a_bad_dump_to_a_writer_is_a_data_error_naming_the_file(workspace, capsys, command, kind):
+    bad = workspace / "bad.dump"
+    bad.write_bytes(BAD_DUMPS[kind])
+    code, out, err = run(capsys, *writer_argv(workspace, command, bad, workspace / "store"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ")
+
+
+# train and evaluate do not read the crash time
+@pytest.mark.parametrize("kind", ["not-utf8", "no-header"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_bad_pair_dump_is_a_data_error_naming_the_file(workspace, capsys, command, kind):
+    corpus = workspace / "corpus"
+    bad = corpus / "dumps" / "d000_0.dump"
+    bad.write_bytes(BAD_DUMPS[kind])
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    params = "--params-out" if command == "train" else "--params"
+    code, out, err = run(
+        capsys, command, corpus / "pairs_train.tsv", *pipeline_args(workspace),
+        params, workspace / "params.txt",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ")
+
+
+def test_stopwords_skips_a_dump_that_is_not_utf8(workspace, capsys):
+    dumps = workspace / "corpus" / "dumps"
+    (dumps / "zz_bad.dump").write_bytes(b"[HEADER]\n\xff\n")
+    code, out, err = run(capsys, "stopwords", dumps, "--out", workspace / "stop2.tsv", "--cutoff", "2")
+    assert code == 0
+    assert out.startswith("entries=")
+    assert err.startswith("warning: skipping zz_bad.dump: 'utf-8' codec can't decode")
+    assert (workspace / "stop2.tsv").read_text() == (workspace / "stop.tsv").read_text()

@@ -14,7 +14,7 @@ import kdetector.cli
 import kdetector.detector
 import kdetector.synth
 
-from conftest import make_sequence
+from conftest import make_dump_text, make_sequence
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,6 +30,23 @@ def test_traced_run_installs_every_span_and_restores(monkeypatch):
         assert kdetector.cli.main is not saved[0]
         assert kdetector.detector.sequence_from_text is not saved[1]
     assert (kdetector.cli.main, kdetector.detector.sequence_from_text) == saved
+    sys.modules.pop("spans")
+
+
+def test_traced_parse_records_skipped_lines(monkeypatch):
+    """The traced run counts skipped frame lines from what parse_dump
+    returns (``result.report.skipped_lines``), under the name the detector
+    looks it up by."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    recorder = spans.SpanRecorder()
+    text = make_dump_text(["app::A::f1", "app::B::g1"]).replace(
+        "backtrace:\n", "backtrace:\n SFrame: 0x1\n"
+    )
+    with spans.installed(recorder):
+        kdetector.detector.parse_dump(text)
+    assert recorder.counters.get("skipped_lines") == 1
     sys.modules.pop("spans")
 
 

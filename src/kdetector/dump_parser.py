@@ -40,11 +40,11 @@ general rules give. The argument, step by step, for a line out of
 4. Suffix strips, first round: a ``_AT_SUFFIX_RE`` match ends at the end,
    which is a digit, so its ``\S+:\d+`` is the last whitespace-free token
    (``FILE:LINE``) and its ``at`` the token before; the space before
-   ``at`` follows a hex digit, so the sub removes `` at FILE:LINE``. A ``_OFFSET_SUFFIX_RE``
-   match then needs ``0x`` and hex digits up to the end: that ``x`` is the
-   last one, in ``0xOFF``, the ``+`` the last non-whitespace before it and
-   the space before ``+`` follows ``)``, so the sub removes `` + 0xOFF``
-   and leaves ``[RET ...]NAME(ARGS)``.
+   ``at`` follows a hex digit, so the sub removes `` at FILE:LINE``. A
+   ``_OFFSET_SUFFIX_RE`` match then needs ``0x`` and hex digits up to the
+   end: that ``x`` is the last one, in ``0xOFF``, the ``+`` the last
+   non-whitespace before it and the space before ``+`` follows ``)``, so
+   the sub removes `` + 0xOFF`` and leaves ``[RET ...]NAME(ARGS)``.
 5. Second round: both suffix patterns need a hex digit or whitespace at
    the end, and the text ends in ``)``, so neither matches.
 6. Cut at the first ``(``: neither ``RET`` nor ``NAME`` holds one, so the

@@ -9,8 +9,11 @@ over a record list), of the v1 store's ``sequence_from_text``, which read
 the migration to the sequence log, of ``lcs_match`` with its move table,
 before the match move became unconditional, and of
 ``trainer.sample_pairs``, which lists every candidate negative before
-drawing. ``test_oracles.py``, ``test_store_index.py`` and
-``test_store_golden.py`` check the live versions against them for exact
+drawing, and of the dump parser (``clean_frame``, ``_split_sections``,
+``_parse_header``, ``_extract_frames`` and ``parse_dump`` with their
+patterns) from before canonical frame lines took one regex match.
+``test_oracles.py``, ``test_store_index.py``, ``test_store_golden.py`` and
+``test_parser_oracle.py`` check the live versions against them for exact
 equality. Do not edit these to follow the live code: they define the
 outputs the live code must keep.
 """

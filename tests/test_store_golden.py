@@ -13,10 +13,6 @@ The comparison is by bytes: ``bugs.ndjson``, ``sequences.log`` and the
 report lines. Commands run from the work directory with relative paths, so
 ``dump_path`` holds no temporary directory.
 
-``golden/store_v1/`` holds the same store in the v1 layout, one
-``sequences/<dump_id>.tsv`` file per dump; it is the fixture for the
-one-way migration to the sequence log.
-
 Regenerate the files (only when a store output change is intended) with
 
     PYTHONPATH=src python tests/test_store_golden.py --write
@@ -27,19 +23,15 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-import oracles
 from kdetector import detector
 from kdetector.cli import main
-from kdetector.detector import FailureStore
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "store"
-GOLDEN_V1 = GOLDEN.with_name("store_v1")
 SYNTH = ["--groups", "12", "--per-group", "4", "--noise", "0.3", "--seed", "7"]
 INGESTED = [f"d{g:03d}_{k}" for g in range(11) for k in (1, 2)]
 # (dump id, extra window options), in triage order
@@ -154,33 +146,6 @@ def test_replay_through_the_checkpoint_is_byte_identical(tmp_path, monkeypatch):
     assert sorted(artifacts) == sorted([*_golden(), "bugs.checkpoint"])
     for name in ("detect.stdout", "bugs.ndjson", "sequences.log"):
         assert artifacts[name] == (GOLDEN / name).read_bytes(), name
-
-
-def test_v1_store_migrates_and_replays_the_same_reports(tmp_path):
-    """Open a v1 store as it stood after the ingests: every sequence equals
-    what its v1 file gives, and the replayed detects report, bind and log
-    the same bytes as a store built as v2."""
-    with _inside(tmp_path):
-        pipeline = _prepare(tmp_path)
-    v1 = tmp_path / "store"
-    shutil.copytree(GOLDEN_V1 / "sequences", v1 / "sequences")
-    ingested = (GOLDEN_V1 / "bugs.ndjson").read_bytes().splitlines(keepends=True)[: len(INGESTED)]
-    (v1 / "bugs.ndjson").write_bytes(b"".join(ingested))
-    store = FailureStore(v1)
-    assert [record.dump_id for record in store.records] == INGESTED
-    for dump_id in INGESTED:
-        v1_text = (GOLDEN_V1 / "sequences" / f"{dump_id}.tsv").read_text()
-        assert store.sequence_for(dump_id) == oracles.v1_sequence_from_text(v1_text, dump_id)
-    with _inside(tmp_path):
-        reports = _detect_all(pipeline)
-    assert reports == (GOLDEN / "detect.stdout").read_text()
-    assert (v1 / "bugs.ndjson").read_bytes() == (GOLDEN / "bugs.ndjson").read_bytes()
-    assert (v1 / "sequences.log").read_bytes() == (GOLDEN / "sequences.log").read_bytes()
-    v1_files = sorted(path.name for path in (GOLDEN_V1 / "sequences").iterdir())
-    assert sorted(path.name for path in (v1 / "sequences").iterdir()) == v1_files
-    assert sorted(path.name for path in v1.iterdir()) == [
-        "bugs.ndjson", "sequences", "sequences.log"
-    ]
 
 
 def test_reports_cover_binds_and_new_bugs():

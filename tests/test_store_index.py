@@ -197,16 +197,34 @@ def test_hostile_dump_id_is_stored_and_read_back(tmp_path, dump_id):
     ]
 
 
-def test_stored_unsafe_dump_id_is_never_read(tmp_path):
-    # a v1 store read sequences/<dump_id>.tsv, here ../../secret.tsv; the
-    # migration globs sequences/ and never follows a stored dump id
+@pytest.mark.parametrize("argv", [["detect"], ["detect", "--bind"], ["ingest"]])
+def test_a_v1_store_is_a_data_error_that_changes_nothing(tmp_path, capsys, argv):
+    """A v1 store (sequences/<dump_id>.tsv and no sequences.log) is no longer
+    read: each command names the layout and the last commit that migrates
+    it, and no file changes. A v1 store read sequences/../../secret.tsv for
+    this stored dump id."""
     (tmp_path / "secret.tsv").write_text("0\tCompA\ta::f\n")
-    (tmp_path / "store" / "sequences").mkdir(parents=True)
-    (tmp_path / "store" / "bugs.ndjson").write_text(_line(dump_id="../../secret") + "\n")
-    store = FailureStore(tmp_path / "store")
-    with pytest.raises(MissingSequence):
-        store.sequence_for("../../secret")
-    assert (tmp_path / "store" / "sequences.log").read_bytes() == b""
+    store = tmp_path / "store"
+    (store / "sequences").mkdir(parents=True)
+    (store / "sequences" / "d1.tsv").write_text("0\tCompA\ta::f\n")
+    lines = [_line(bug_id=1, dump_id="d1"), _line(bug_id=2, dump_id="../../secret")]
+    (store / "bugs.ndjson").write_text("\n".join(lines) + "\n")
+    (tmp_path / "map.tsv").write_text("#version 1 mined=x\napp::A::f1\tCompA\n")
+    (tmp_path / "stop.tsv").write_text("#cutoff: 0\n")
+    (tmp_path / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    (tmp_path / "probe.dump").write_text(make_dump_text(["app::A::f1"], dump_id="probe"))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    command = [argv[0], tmp_path / "probe.dump", "--map", tmp_path / "map.tsv",
+               "--stoplist", tmp_path / "stop.tsv", "--store", store, *argv[1:]]
+    if argv[0] == "detect":
+        command += ["--params", tmp_path / "params.txt"]
+    assert main([str(a) for a in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {store} is a v1 store (sequences/ and no sequences.log)")
+    assert "943fed2, the last commit that migrates it" in captured.err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    assert not (store / "sequences.log").exists()
 
 
 @pytest.mark.parametrize("command", ["ingest", "detect"])

@@ -9,8 +9,9 @@ prints an AUC table against the two baseline comparators, and ``ingest``
 the store's writer lock from before it opens until after the append, so
 concurrent per-crash processes never mint the same bug id, and under it
 they refresh the store's record checkpoint once enough records have been
-appended since the last one. They read the dump, the map and the stop list
-before they take the lock, so one that is missing leaves no store behind.
+appended since the last one. They read the map and the stop list, and read
+and sequence the dump, before they take the lock, so an input that is
+missing or bad leaves no store behind.
 A read-only ``detect`` takes no lock and writes nothing; a store that does
 not exist is a data error for it. A dump that is not UTF-8 text or not a
 usable dump is a data error naming the file, except to ``stopwords``,
@@ -26,7 +27,15 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import Detector, FailureStore, RecencyWindow, render_report, sequence_dump, writer_lock
+from .detector import (
+    Detector,
+    FailureStore,
+    RecencyWindow,
+    dump_time,
+    render_report,
+    sequence_dump,
+    writer_lock,
+)
 from .dump_parser import parse_dump
 from .errors import (
     EmptyCorpus,
@@ -172,15 +181,16 @@ def _at_least(option: str, value, floor: int) -> None:
 
 
 def _load_stoplist(args) -> StopWordList:
-    return parse_stop_words(Path(args.stoplist).read_text())
+    return parse_stop_words(Path(args.stoplist).read_text(), args.stoplist)
 
 
 def _load_params(args) -> ModelParams:
-    return parse_params(Path(args.params).read_text())
+    return parse_params(Path(args.params).read_text(), args.params)
 
 
-# what a dump that is not UTF-8 text or not a usable dump raises
-_DUMP_ERRORS = (UnicodeDecodeError, MalformedHeader, MissingSection, EmptyStack)
+# what a dump that is not UTF-8 text or not a usable dump raises; ValueError
+# covers UnicodeDecodeError and int()'s digit limit on a frame index
+_DUMP_ERRORS = (ValueError, MalformedHeader, MissingSection, EmptyStack)
 
 
 @contextlib.contextmanager
@@ -192,9 +202,12 @@ def _naming(dump_path):
         raise MalformedDump(f"{dump_path}: {exc}") from None
 
 
-def _read_dump(dump_path) -> str:
+def _sequence_file(dump_path, cmap, stop_list):
+    """The dump's component sequence and crash time, read before any store
+    is touched, so a bad dump leaves no store behind."""
     with _naming(dump_path):
-        return Path(dump_path).read_text()
+        dump, sequence = sequence_dump(Path(dump_path).read_text(), cmap, stop_list)
+        return sequence, dump_time(dump)
 
 
 def _load_dumps(dump_ids, dumps_dir, cmap, stop_list):
@@ -232,7 +245,7 @@ def _cmd_stopwords(args) -> int:
     for path in sorted(Path(args.corpus_dir).glob("*.dump")):
         try:
             corpus.append(parse_dump(path.read_text()))
-        except (KDetectorError, UnicodeDecodeError) as exc:
+        except (KDetectorError, ValueError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
     if not corpus:
         raise EmptyCorpus(f"no parseable dumps under {args.corpus_dir}")
@@ -243,7 +256,7 @@ def _cmd_stopwords(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    pairs = parse_pairs(Path(args.pairs_file).read_text())
+    pairs = parse_pairs(Path(args.pairs_file).read_text(), args.pairs_file)
     cmap = _load_map(args)
     stop_list = _load_stoplist(args)
     ids = {p.dump_id_a for p in pairs} | {p.dump_id_b for p in pairs}
@@ -259,7 +272,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pairs = parse_pairs(Path(args.pairs_file).read_text())
+    pairs = parse_pairs(Path(args.pairs_file).read_text(), args.pairs_file)
     cmap = _load_map(args)
     stop_list = _load_stoplist(args)
     params = _load_params(args)
@@ -296,12 +309,11 @@ def _write_checkpoint(store: FailureStore) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    text = _read_dump(args.dump)
     cmap, stop_list = _load_map(args), _load_stoplist(args)
+    sequence, crash_time = _sequence_file(args.dump, cmap, stop_list)
     with writer_lock(args.store):
         detector = Detector(FailureStore(args.store), cmap, stop_list, ModelParams(1.0, 1.0))
-        with _naming(args.dump):
-            record, _ = detector.ingest(text, dump_path=str(args.dump))
+        record = detector.file_bug(sequence, crash_time, dump_path=str(args.dump))
         _write_checkpoint(detector.store)
     print(json.dumps({"ingested": record.dump_id, "bug_id": record.bug_id}))
     return 0
@@ -311,16 +323,15 @@ def _cmd_detect(args) -> int:
     _at_least("--window-days", args.window_days, 0)
     _at_least("--last-k", args.last_k, 0)
     params = _load_params(args)
-    text = _read_dump(args.dump)
     cmap, stop_list = _load_map(args), _load_stoplist(args)
+    sequence, crash_time = _sequence_file(args.dump, cmap, stop_list)
     window = RecencyWindow(days=args.window_days, last_k=args.last_k)
     with writer_lock(args.store) if args.bind else contextlib.nullcontext():
         store = FailureStore(args.store, read_only=not args.bind)
         detector = Detector(store, cmap, stop_list, params)
-        with _naming(args.dump):
-            result = detector.triage(
-                text, dump_path=str(args.dump), window=window, bind=args.bind
-            )
+        result = detector.triage_sequence(
+            sequence, crash_time, dump_path=str(args.dump), window=window, bind=args.bind
+        )
         if args.bind:
             _write_checkpoint(detector.store)
     print(render_report(result))

@@ -60,9 +60,10 @@ per covered line, no bug id or dump id twice, every canonical bug a stored
 root no larger than its own bug id, and every waiting edge joining stored
 bugs to one not stored. It then fills the index from the columns, decodes
 and checks only the lines past the covered range, and builds a covered
-record from its line only when a window or ``records`` asks for it. In every other case (no checkpoint, a stale, truncated or
-garbled one, or an edit inside the covered range) open decodes and checks
-every line, as above. Beyond those checks the columns are trusted to agree
+record from its line only when a window or ``records`` asks for it. In
+every other case (no checkpoint, a stale, truncated or garbled one, or an
+edit inside the covered range) open decodes and checks every line, as
+above. Beyond those checks the columns are trusted to agree
 with the covered lines: checking that would mean decoding them. Every
 covered line was checked by the full open or append that indexed it
 before a checkpoint covered it. Only ``kdetector ingest`` and ``detect --bind``
@@ -664,8 +665,7 @@ class Detector:
         keeping replays of the same corpus byte-identical.
         """
         dump, sequence = sequence_dump(text, self.cmap, self.stop_list, dump_id)
-        crash_time = _parse_time(dump.header["time"])
-        return self._file_record(dump.dump_id, sequence, dump_path, crash_time), sequence
+        return self.file_bug(sequence, dump_time(dump), dump_path), sequence
 
     def detect(
         self,
@@ -676,8 +676,7 @@ class Detector:
         """Score the sequence against stored history; read-only.
 
         Score ties go to the most recent creation time, then the smallest
-        bug id. An empty window yields a NEW verdict with no bug id bound;
-        the caller files it via bind_or_file.
+        bug id. An empty window yields a NEW verdict with no bug id bound.
         """
         candidates = self.store.window(window, now)
         best: FailureRecord | None = None
@@ -697,32 +696,18 @@ class Detector:
             params=self.params,
         )
 
-    def bind_or_file(
+    def file_bug(
         self,
-        result: DetectionResult,
         sequence: ComponentSequence,
-        dump_path: str = "",
-        now: datetime.datetime | None = None,
-    ) -> FailureRecord:
-        """Persist the verdict: bind the duplicate or file a new bug, whose
-        id the returned record holds."""
-        now = now or datetime.datetime.now(datetime.timezone.utc)
-        dupe_of = result.bug_id if result.verdict == DUPLICATE else None
-        return self._file_record(result.dump_id, sequence, dump_path, now, dupe_of)
-
-    def _file_record(
-        self,
-        dump_id: str,
-        sequence: ComponentSequence,
-        dump_path: str,
         creation_time: datetime.datetime,
+        dump_path: str = "",
         dupe_of: int | None = None,
     ) -> FailureRecord:
-        """Append a record under the next bug id; one with a dupe_of is
-        resolved as DUPLICATE, one without is a new bug."""
+        """Append the sequence's record under the next bug id; one with a
+        dupe_of is resolved as DUPLICATE, one without is a new bug."""
         record = FailureRecord(
             bug_id=self.store.next_bug_id(),
-            dump_id=dump_id,
+            dump_id=sequence.dump_id,
             resolution="" if dupe_of is None else "DUPLICATE",
             creation_time=creation_time,
             dupe_of=dupe_of,
@@ -739,17 +724,26 @@ class Detector:
         window: RecencyWindow = RecencyWindow(),
         bind: bool = True,
     ) -> DetectionResult:
-        """Full workflow for one incoming dump.
-
-        The dump's own crash time anchors the recency window and, when
-        binding, the filed record's creation time, so triage runs are
-        reproducible from their inputs.
-        """
+        """Full workflow for one incoming dump: sequence it, then
+        ``triage_sequence`` at its own crash time, so triage runs are
+        reproducible from their inputs."""
         dump, sequence = sequence_dump(text, self.cmap, self.stop_list)
-        crash_time = _parse_time(dump.header["time"])
+        return self.triage_sequence(sequence, dump_time(dump), dump_path, window, bind)
+
+    def triage_sequence(
+        self,
+        sequence: ComponentSequence,
+        crash_time: datetime.datetime,
+        dump_path: str = "",
+        window: RecencyWindow = RecencyWindow(),
+        bind: bool = True,
+    ) -> DetectionResult:
+        """Detect with the crash time anchoring the window; when binding,
+        file the record at that time, bound to the duplicate's canonical
+        bug or as a new bug whose id the result then holds."""
         result = self.detect(sequence, window=window, now=crash_time)
         if bind:
-            record = self.bind_or_file(result, sequence, dump_path=dump_path, now=crash_time)
+            record = self.file_bug(sequence, crash_time, dump_path, dupe_of=result.bug_id)
             if result.verdict == NEW:
                 result = dataclasses.replace(result, bug_id=record.bug_id)
         return result
@@ -768,7 +762,9 @@ def _better(
     return record.bug_id < best.bug_id
 
 
-def _parse_time(text: str) -> datetime.datetime:
+def dump_time(dump: CrashDump) -> datetime.datetime:
+    """The crash time in the dump's [HEADER], as UTC when it names no offset."""
+    text = dump.header["time"]
     try:
         stamp = datetime.datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:

@@ -35,6 +35,11 @@ class MalformedMap(KDetectorError):
     """A component-map line is not ``function<TAB>component``."""
 
 
+class MalformedFile(KDetectorError):
+    """A params, stop-list or pairs file has a line that cannot be read or
+    lacks a field; the message names the file and the line."""
+
+
 class EmptyCorpus(KDetectorError):
     """An operation that needs at least one dump received none."""
 

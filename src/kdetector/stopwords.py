@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dump_parser import CrashDump, StackFrame
-from .errors import EmptyCorpus
+from .errors import EmptyCorpus, MalformedFile
 
 
 @dataclass
@@ -76,15 +76,22 @@ def format_stop_words(stop_list: StopWordList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_stop_words(text: str) -> StopWordList:
+def parse_stop_words(text: str, path: str = "stop list") -> StopWordList:
+    """Read a stop list back; a cutoff or score that is not a number, or a
+    negative cutoff, raises ``MalformedFile`` naming ``path`` and the line."""
     cutoff = 0
     entries: list[tuple[str, float]] = []
-    for line in text.splitlines():
-        if line.startswith("#cutoff:"):
-            cutoff = int(line.split(":", 1)[1].strip())
-            continue
-        if not line.strip() or line.startswith("#"):
-            continue
-        name, _, score = line.partition("\t")
-        entries.append((name, float(score)))
+    for number, line in enumerate(text.splitlines(), start=1):
+        try:
+            if line.startswith("#cutoff:"):
+                cutoff = int(line.split(":", 1)[1].strip())
+                if cutoff < 0:
+                    raise ValueError(f"cutoff {cutoff} is negative")
+                continue
+            if not line.strip() or line.startswith("#"):
+                continue
+            name, _, score = line.partition("\t")
+            entries.append((name, float(score)))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{number}: {exc}") from None
     return StopWordList(entries, min(cutoff, len(entries)))

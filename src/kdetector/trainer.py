@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .detector import FailureRecord, UnionFind
 from .dump_parser import StackFrame
-from .errors import DegenerateSet
+from .errors import DegenerateSet, MalformedFile
 from .knowledge_miner import ComponentMap
 from .sequencer import ComponentSequence, to_component_sequence
 from .similarity import (
@@ -395,13 +395,20 @@ def format_pairs(pairs: Sequence[LabeledPair]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_pairs(text: str) -> list[LabeledPair]:
+def parse_pairs(text: str, path: str = "pairs") -> list[LabeledPair]:
+    """Read a pairs file back; a bad line raises ``MalformedFile`` naming
+    ``path`` and the line."""
     pairs = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        a, b, label = line.split("\t")
-        pairs.append(LabeledPair(a, b, label))
+        fields = line.split("\t")
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"{line!r} is not dump_id_a<TAB>dump_id_b<TAB>label")
+            pairs.append(LabeledPair(*fields))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{number}: {exc}") from None
     return pairs
 
 
@@ -409,15 +416,28 @@ def format_params(params: ModelParams) -> str:
     return f"#version 1\nm={params.m!r} n={params.n!r} threshold={params.threshold!r}\n"
 
 
-def parse_params(text: str) -> ModelParams:
+def parse_params(text: str, path: str = "params") -> ModelParams:
+    """Read a params file back; a value that is not a number, out of range
+    or missing raises ``MalformedFile`` naming ``path`` and the last line
+    read that holds fields."""
     fields: dict[str, float] = {}
-    for line in text.splitlines():
+    where = path
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
+        where = f"{path}:{number}"
         for token in line.split():
             key, _, value = token.partition("=")
-            fields[key] = float(value)
-    return ModelParams(fields["m"], fields["n"], fields.get("threshold", 0.5))
+            try:
+                fields[key] = float(value)
+            except ValueError as exc:
+                raise MalformedFile(f"{where}: {exc}") from None
+    try:
+        return ModelParams(fields["m"], fields["n"], fields.get("threshold", 0.5))
+    except KeyError as exc:
+        raise MalformedFile(f"{where}: no {exc.args[0]}= value") from None
+    except ValueError as exc:
+        raise MalformedFile(f"{where}: {exc}") from None
 
 
 def format_grid_report(result: TuningResult) -> str:

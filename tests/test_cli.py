@@ -11,6 +11,8 @@ import pytest
 from kdetector.cli import main
 from kdetector.detector import FailureStore
 
+from conftest import make_dump_text
+
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
@@ -399,3 +401,95 @@ def test_stopwords_skips_a_dump_that_is_not_utf8(workspace, capsys):
     assert out.startswith("entries=")
     assert err.startswith("warning: skipping zz_bad.dump: 'utf-8' codec can't decode")
     assert (workspace / "stop2.tsv").read_text() == (workspace / "stop.tsv").read_text()
+
+
+# (dump text, stop list or None for the workspace's); each fails to sequence
+WRITER_BAD_DUMPS = {
+    "no-usable-frame": (
+        make_dump_text(["app::A::f1"]).replace("void app::A::f1(int)", "<no symbol>"), None
+    ),
+    "bad-time": (make_dump_text(["app::A::f1"], time="not-a-time"), None),
+    "all-stop-words": (make_dump_text(["app::A::f1", "app::B::g1"]),
+                       "#cutoff: 2\napp::A::f1\t1.000000\napp::B::g1\t1.000000\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITER_BAD_DUMPS))
+@pytest.mark.parametrize("command", ["ingest", "detect"])
+def test_a_dump_that_does_not_sequence_leaves_no_store_behind(workspace, capsys, command, kind):
+    """ingest and detect --bind sequence the dump before the writer lock
+    makes the store."""
+    text, stop_list = WRITER_BAD_DUMPS[kind]
+    bad = workspace / "bad.dump"
+    bad.write_text(text)
+    store = workspace / "new-store"
+    argv = writer_argv(workspace, command, bad, store)
+    if stop_list is not None:
+        (workspace / "stop-all.tsv").write_text(stop_list)
+        argv[argv.index("--stoplist") + 1] = workspace / "stop-all.tsv"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ")
+    assert not store.exists()
+
+
+HUGE_INDEX = make_dump_text(["app::A::f1"]).replace("0: void", "9" * 5000 + ": void")
+
+
+def test_a_frame_index_too_long_to_convert_names_the_dump(workspace, capsys):
+    bad = workspace / "huge.dump"
+    bad.write_text(HUGE_INDEX)
+    store = workspace / "new-store"
+    code, out, err = run(capsys, *writer_argv(workspace, "detect", bad, store))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: Exceeds the limit")
+    assert not store.exists()
+
+
+def test_stopwords_skips_a_dump_whose_frame_index_is_too_long(workspace, capsys):
+    dumps = workspace / "corpus" / "dumps"
+    (dumps / "zz_huge.dump").write_text(HUGE_INDEX)
+    code, out, err = run(
+        capsys, "stopwords", dumps, "--out", workspace / "stop2.tsv", "--cutoff", "2"
+    )
+    assert code == 0
+    assert out.startswith("entries=")
+    assert err.startswith("warning: skipping zz_huge.dump: Exceeds the limit")
+    assert (workspace / "stop2.tsv").read_text() == (workspace / "stop.tsv").read_text()
+
+
+def _replace_line(text: str, number: int, line: str) -> str:
+    lines = text.splitlines()
+    lines[number - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+# (file, how to spoil the workspace's copy, the line named)
+BAD_LINES = {
+    "params-without-m": ("params", lambda _: "#version 1\nn=1.0 threshold=0.5\n", 2),
+    "params-n-not-a-number": ("params", lambda _: "#version 1\nm=1.0 n=x threshold=0.5\n", 2),
+    "params-threshold-out-of-range": ("params", lambda _: "#version 1\nm=1 n=1 threshold=2\n", 2),
+    "stoplist-cutoff-not-a-number": ("stoplist", lambda t: _replace_line(t, 1, "#cutoff: x"), 1),
+    "stoplist-score-not-a-number": ("stoplist", lambda t: _replace_line(t, 3, "rt::f\tnope"), 3),
+    "pairs-with-two-fields": ("pairs", lambda t: _replace_line(t, 2, "d000_0\td000_1"), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+def test_a_bad_line_in_a_params_stoplist_or_pairs_file_names_it(workspace, capsys, case):
+    kind, spoil, number = BAD_LINES[case]
+    (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
+    files = {
+        "params": workspace / "params.txt",
+        "stoplist": workspace / "stop.tsv",
+        "pairs": workspace / "corpus" / "pairs_test.tsv",
+    }
+    bad = workspace / f"bad-{kind}"
+    bad.write_text(spoil(files[kind].read_text()))
+    files[kind] = bad
+    code, out, err = run(
+        capsys, "evaluate", files["pairs"], *pipeline_args(workspace),
+        "--stoplist", files["stoplist"], "--params", files["params"],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}:{number}: ")

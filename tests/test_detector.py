@@ -193,9 +193,9 @@ class TestBindOrFile:
     def test_duplicate_binds_dupe_of(self, detector):
         detector.store.append(record(4, "d4"), seq("d4", "CompA", "CompB"))
         probe = seq("probe", "CompA", "CompB")
-        result = detector.detect(probe, now=EPOCH)
-        rec = detector.bind_or_file(result, probe, now=EPOCH)
-        assert rec.dupe_of == 4
+        result = detector.triage_sequence(probe, EPOCH)
+        rec = detector.store.records[-1]
+        assert result.bug_id == rec.dupe_of == 4
         assert rec.resolution == "DUPLICATE"
         assert rec.bug_id == 5
 

@@ -50,6 +50,33 @@ def test_traced_parse_records_skipped_lines(monkeypatch):
     sys.modules.pop("spans")
 
 
+def test_traced_train_records_the_sequencing_spans(monkeypatch, tmp_path, capsys):
+    """``train`` sequences its dumps through ``detector.sequence_dump``; the
+    traced run must still see the stop-word filter and the sequencer there,
+    or ``stopwords.removed_share`` and ``sequencer.unknown_share`` read 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    corpus = tmp_path / "corpus"
+    for argv in (
+        ["synth", "--out", corpus, "--groups", "8", "--per-group", "3", "--noise", "0.2", "--seed", "3"],
+        ["mine", corpus / "src", "--out", tmp_path / "map.tsv"],
+        ["stopwords", corpus / "dumps", "--out", tmp_path / "stop.tsv", "--cutoff", "2"],
+    ):
+        assert kdetector.cli.main([str(a) for a in argv]) == 0
+    recorder = spans.SpanRecorder()
+    with spans.installed(recorder):
+        assert kdetector.cli.main([
+            "train", str(corpus / "pairs_train.tsv"), "--dumps", str(corpus / "dumps"),
+            "--map", str(tmp_path / "map.tsv"), "--stoplist", str(tmp_path / "stop.tsv"),
+            "--params-out", str(tmp_path / "params.txt"), "--grid-out", str(tmp_path / "grid.tsv"),
+        ]) == 0
+    capsys.readouterr()
+    assert {"stopwords.filter_stop_words", "sequencer.to_component_sequence"} <= set(recorder.names)
+    assert recorder.counters["frames_removed"] > 0 and recorder.counters["occurrences"] > 0
+    sys.modules.pop("spans")
+
+
 def test_names_the_session_and_corpora_use():
     # session.py scores pairs with kdetector.similarity(...).value
     assert inspect.isfunction(kdetector.similarity)

@@ -53,7 +53,8 @@ from .knowledge_miner import (
     mine_tree,
     snapshot_stamp,
 )
-# not called here, but the benchmark's spans.TARGETS looks up this and filter_stop_words here
+# to_component_sequence and filter_stop_words are not called here; the
+# benchmark's spans.TARGETS looks both up in this module
 from .sequencer import to_component_sequence
 from .similarity import (
     ModelParams,

@@ -112,8 +112,6 @@ NEW = "new"
 _RECORDS_FILE = "bugs.ndjson"
 _SEQUENCE_LOG = "sequences.log"
 _V1_SEQUENCE_DIR = "sequences"  # v1: one sequence file per dump and no log
-# the last commit whose FailureStore migrates a v1 store to the sequence log
-_LAST_V1_MIGRATION = "943fed2"
 _CHECKPOINT_FILE = "bugs.checkpoint"
 _CHECKPOINT_FORMAT = 1
 _CHECKPOINT_COLUMNS = {"bug_id": int, "dump_id": str, "creation_time": int, "canonical_bug": int}
@@ -337,7 +335,7 @@ class FailureStore:
         if not os.path.exists(self._log_path) and (self.root / _V1_SEQUENCE_DIR).is_dir():
             raise MissingSequence(
                 f"{self.root} is a v1 store ({_V1_SEQUENCE_DIR}/ and no {_SEQUENCE_LOG}); open it "
-                f"for writing with kdetector {_LAST_V1_MIGRATION}, the last commit that migrates it"
+                "for writing with kdetector 943fed2, the last commit that migrates it"
             )
 
     def _open_checkpoint(self, data: bytes) -> tuple[int, int]:

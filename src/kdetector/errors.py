@@ -73,7 +73,8 @@ class MissingStore(KDetectorError):
 
 
 class MissingSequence(KDetectorError):
-    """The store holds no component sequence for a dump."""
+    """The store holds no component sequence for a dump, or holds its
+    sequences only in the v1 layout, which is no longer read."""
 
 
 class UnstorableSequence(KDetectorError):

@@ -11,8 +11,6 @@ import pytest
 from kdetector.cli import main
 from kdetector.detector import FailureStore
 
-from conftest import make_dump_text
-
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
@@ -363,6 +361,12 @@ BAD_DUMPS = {
     "not-utf8": b"[HEADER]\npid: 1\xff\n",
     "no-header": b"[CRASH_STACK]\nbacktrace:\n0: void a::b() + 0x1 at f.c:1\n",
     "bad-time": b"[HEADER]\npid: 1\ntime: soon\n[CRASH_STACK]\n0: void a::b() + 0x1 at f.c:1\n",
+    "no-usable-frame": b"[HEADER]\npid: 1\ntime: 2026-01-01T00:00:00Z\n[CRASH_STACK]\n0: <no symbol>\n",
+    # both frames are the workspace's active stop words
+    "only-stop-words": b"[HEADER]\npid: 1\ntime: 2026-01-01T00:00:00Z\n[CRASH_STACK]\n"
+    b"0: void rt::Frame::enter0() + 0x1 at f.c:1\n1: void rt::Frame::enter1() + 0x1 at f.c:2\n",
+    "huge-index": b"[HEADER]\npid: 1\ntime: 2026-01-01T00:00:00Z\n[CRASH_STACK]\n"
+    + b"9" * 5000 + b": void a::b() + 0x1 at f.c:1\n",
 }
 
 
@@ -374,6 +378,8 @@ def test_a_bad_dump_to_a_writer_is_a_data_error_naming_the_file(workspace, capsy
     code, out, err = run(capsys, *writer_argv(workspace, command, bad, workspace / "store"))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {bad}: ")
+    # the dump is sequenced before the writer lock makes the store
+    assert not (workspace / "store").exists()
 
 
 # train and evaluate do not read the crash time
@@ -403,52 +409,9 @@ def test_stopwords_skips_a_dump_that_is_not_utf8(workspace, capsys):
     assert (workspace / "stop2.tsv").read_text() == (workspace / "stop.tsv").read_text()
 
 
-# (dump text, stop list or None for the workspace's); each fails to sequence
-WRITER_BAD_DUMPS = {
-    "no-usable-frame": (
-        make_dump_text(["app::A::f1"]).replace("void app::A::f1(int)", "<no symbol>"), None
-    ),
-    "bad-time": (make_dump_text(["app::A::f1"], time="not-a-time"), None),
-    "all-stop-words": (make_dump_text(["app::A::f1", "app::B::g1"]),
-                       "#cutoff: 2\napp::A::f1\t1.000000\napp::B::g1\t1.000000\n"),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(WRITER_BAD_DUMPS))
-@pytest.mark.parametrize("command", ["ingest", "detect"])
-def test_a_dump_that_does_not_sequence_leaves_no_store_behind(workspace, capsys, command, kind):
-    """ingest and detect --bind sequence the dump before the writer lock
-    makes the store."""
-    text, stop_list = WRITER_BAD_DUMPS[kind]
-    bad = workspace / "bad.dump"
-    bad.write_text(text)
-    store = workspace / "new-store"
-    argv = writer_argv(workspace, command, bad, store)
-    if stop_list is not None:
-        (workspace / "stop-all.tsv").write_text(stop_list)
-        argv[argv.index("--stoplist") + 1] = workspace / "stop-all.tsv"
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {bad}: ")
-    assert not store.exists()
-
-
-HUGE_INDEX = make_dump_text(["app::A::f1"]).replace("0: void", "9" * 5000 + ": void")
-
-
-def test_a_frame_index_too_long_to_convert_names_the_dump(workspace, capsys):
-    bad = workspace / "huge.dump"
-    bad.write_text(HUGE_INDEX)
-    store = workspace / "new-store"
-    code, out, err = run(capsys, *writer_argv(workspace, "detect", bad, store))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {bad}: Exceeds the limit")
-    assert not store.exists()
-
-
 def test_stopwords_skips_a_dump_whose_frame_index_is_too_long(workspace, capsys):
     dumps = workspace / "corpus" / "dumps"
-    (dumps / "zz_huge.dump").write_text(HUGE_INDEX)
+    (dumps / "zz_huge.dump").write_bytes(BAD_DUMPS["huge-index"])
     code, out, err = run(
         capsys, "stopwords", dumps, "--out", workspace / "stop2.tsv", "--cutoff", "2"
     )

@@ -197,7 +197,9 @@ def test_hostile_dump_id_is_stored_and_read_back(tmp_path, dump_id):
     ]
 
 
-@pytest.mark.parametrize("argv", [["detect"], ["detect", "--bind"], ["ingest"]])
+@pytest.mark.parametrize(
+    "argv", [["detect"], ["detect", "--bind"], ["ingest"]], ids=["detect", "detect-bind", "ingest"]
+)
 def test_a_v1_store_is_a_data_error_that_changes_nothing(tmp_path, capsys, argv):
     """A v1 store (sequences/<dump_id>.tsv and no sequences.log) is no longer
     read: each command names the layout and the last commit that migrates

@@ -50,7 +50,7 @@ def test_traced_parse_records_skipped_lines(monkeypatch):
     sys.modules.pop("spans")
 
 
-def test_traced_train_records_the_sequencing_spans(monkeypatch, tmp_path, capsys):
+def test_traced_train_records_the_sequencing_spans(monkeypatch, tmp_path):
     """``train`` sequences its dumps through ``detector.sequence_dump``; the
     traced run must still see the stop-word filter and the sequencer there,
     or ``stopwords.removed_share`` and ``sequencer.unknown_share`` read 0."""
@@ -71,7 +71,6 @@ def test_traced_train_records_the_sequencing_spans(monkeypatch, tmp_path, capsys
             "--map", str(tmp_path / "map.tsv"), "--stoplist", str(tmp_path / "stop.tsv"),
             "--params-out", str(tmp_path / "params.txt"), "--grid-out", str(tmp_path / "grid.tsv"),
         ]) == 0
-    capsys.readouterr()
     assert {"stopwords.filter_stop_words", "sequencer.to_component_sequence"} <= set(recorder.names)
     assert recorder.counters["frames_removed"] > 0 and recorder.counters["occurrences"] > 0
     sys.modules.pop("spans")

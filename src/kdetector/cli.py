@@ -92,10 +92,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(config: dict | None = None) -> _Parser:
     config = config or {}
 
-    def dflt(key: str, fallback):
-        # as text, so the option's own type checks a config value too
-        value = config.get(key, fallback)
-        return str(value) if key in config and value is not None else value
+    def dflt(key: str, fallback, nullable: bool = False):
+        # as text, so the option's own type checks a config value too; null
+        # only unsets a window bound
+        if key not in config:
+            return fallback
+        if config[key] is None and not nullable:
+            raise UsageError(f"argument --config: {key} cannot be null")
+        return None if config[key] is None else str(config[key])
 
     parser = _Parser(prog="kdetector", description=__doc__)
     parser.add_argument("--config", help="JSON file with default option values")
@@ -137,8 +141,8 @@ def build_parser(config: dict | None = None) -> _Parser:
     _pipeline_options(p, dflt)
     p.add_argument("--store", default=dflt("store", "store"))
     p.add_argument("--params", default=dflt("params", "params.txt"))
-    p.add_argument("--window-days", type=float, default=dflt("window_days", 30.0))
-    p.add_argument("--last-k", type=int, default=dflt("last_k", None))
+    p.add_argument("--window-days", type=float, default=dflt("window_days", 30.0, nullable=True))
+    p.add_argument("--last-k", type=int, default=dflt("last_k", None, nullable=True))
     p.add_argument(
         "--bind",
         action="store_true",

@@ -1,76 +1,26 @@
 """Online triage: score an incoming dump against recent history.
 
-The failure store is a directory of two append-only text files:
-``bugs.ndjson``, one JSON record per line, and ``sequences.log``, one block
-per record holding its component sequence. A block is a ``\n``, a header
-line holding the record's bug id, then one ``component<TAB>fn1<TAB>fn2…``
-line per occurrence. A header is the only kind of line without a tab, so
-any component name frames unambiguously; when a bug id has several
-non-empty blocks the latest wins, and an empty one (left by a torn write)
-is ignored. ``append`` writes the block first and the record line second.
-A dump id never becomes a path.
-This module owns that format: the record type, its JSON codec, and the
-union-find that groups records along ``dupe_of`` (training reuses both).
 Detection scores the incoming sequence against every stored sequence inside
 the recency window; a best score at or above the threshold binds the
-candidate group's canonical bug id (the smallest in its union-find group, so
-bindings stay stable as groups grow), anything else files a new bug.
+candidate group's canonical bug id, anything else files a new bug.
 
-A store holds each bug id and each dump id once. ``append`` rejects a
-repeat before it writes a byte (``DuplicateBugId``, ``DuplicateDumpId``),
-and open rejects one as a ``MalformedRecord`` naming its line. Processes
-that write one store take turns through ``writer_lock``, an exclusive
-POSIX ``fcntl.flock`` on ``bugs.ndjson`` held from before the store opens
-until after the append, so two of them never mint the same bug id. A
-``FailureStore`` keeps its index in memory and takes no lock itself, so a
-long-lived one must be the store's only writer while it lives.
+The failure store is a directory: ``bugs.ndjson`` (one JSON record per
+line), ``sequences.log`` (one block per record) and, once it has grown,
+``bugs.checkpoint``, which spares an open from decoding the lines it
+covers. README.md describes the files ("File formats") and the in-memory
+index ("Failure store index"). This module owns the format: the record
+type and its JSON codec, which training reuses, and the store. A store
+holds each bug id and each dump id once, and a record's ``dupe_of``, when
+set, names a bug already stored with a smaller bug id. ``append`` rejects
+any other record before it writes a byte, and open rejects one as a
+``MalformedRecord`` naming its line. So a bug's canonical bug, the
+smallest bug id of its group, is its own id or its ``dupe_of``'s
+canonical bug: one dict entry, set once, so bindings stay stable as
+groups grow.
 
-The store keeps an index in memory; the files on disk are the same with or
-without it. A full open of a store of n records decodes each line once with
-json's C scanner (accepting and rejecting what ``json.loads`` does) into a
-slotted ``FailureRecord``; open and ``append`` then pass each record to one
-routine that adds it to a dump-id map (in append order), the running
-maximum bug id, the time order and a union-find over the ``dupe_of``
-edges. So ``has_dump`` is one dict lookup, ``next_bug_id`` is that maximum
-plus one and ``canonical_bug`` is one ``find``. An edge whose target is
-not stored yet waits until that bug id arrives. The time order is the
-records by ``(creation_time, bug_id)``: a record that arrives in order is
-appended to it, and one that does not leaves it to be sorted (O(n log n),
-O(n) when nearly sorted) before the next window reads it; then a days
-window is one bisect plus a slice and ``last_k`` is a slice. A last record
-line without its ``\n`` is kept if it decodes and gets its ``\n`` before
-the next record; if it does not decode it is a torn write, skipped at open
-and cut off by the next ``append``.
-
-Open does not read the sequence log. The first ``sequence_for`` reads it
-once and scans it backwards from the end, indexing each block it passes,
-until it reaches the block it needs; later calls go on from there, and a
-parsed sequence is kept. Records are mostly appended in time order, so a
-detect, whose window holds the newest records, parses about as many blocks
-as the window holds.
-
-A third file, ``bugs.checkpoint``, spares a per-crash process from
-decoding records it does not score. It covers a prefix of ``bugs.ndjson``
-that ends at a ``\n``. It holds that byte length, the sha256 of those
-bytes, one column per covered record line (bug id, dump id, creation time
-as integer UTC microseconds, canonical bug) and the ``dupe_of`` edges still
-waiting for their target, behind a sha256 of its own. Open uses it only
-when both hashes match and the columns are well formed: typed, one entry
-per covered line, no bug id or dump id twice, every canonical bug a stored
-root no larger than its own bug id, and every waiting edge joining stored
-bugs to one not stored. It then fills the index from the columns, decodes
-and checks only the lines past the covered range, and builds a covered
-record from its line only when a window or ``records`` asks for it. In
-every other case (no checkpoint, a stale, truncated or garbled one, or an
-edit inside the covered range) open decodes and checks every line, as
-above. Beyond those checks the columns are trusted to agree
-with the covered lines: checking that would mean decoding them. Every
-covered line was checked by the full open or append that indexed it
-before a checkpoint covered it. Only ``kdetector ingest`` and ``detect --bind``
-write one, under the writer lock and after their append, once
-``CHECKPOINT_EVERY`` records are not covered, through a temporary file and
-``os.replace``; a ``FailureStore`` or ``Detector`` used in-process never
-does.
+Processes that write one store take turns through ``writer_lock``; a
+``FailureStore`` takes no lock itself, so a long-lived one must be the
+store's only writer while it lives.
 """
 
 from __future__ import annotations
@@ -113,7 +63,7 @@ _RECORDS_FILE = "bugs.ndjson"
 _SEQUENCE_LOG = "sequences.log"
 _V1_SEQUENCE_DIR = "sequences"  # v1: one sequence file per dump and no log
 _CHECKPOINT_FILE = "bugs.checkpoint"
-_CHECKPOINT_FORMAT = 1
+_CHECKPOINT_FORMAT = 2
 _CHECKPOINT_COLUMNS = {"bug_id": int, "dump_id": str, "creation_time": int, "canonical_bug": int}
 # a writer replaces the checkpoint once this many records are not covered by it
 CHECKPOINT_EVERY = 256
@@ -208,50 +158,6 @@ def record_from_json(line: str) -> FailureRecord:
     )
 
 
-class UnionFind:
-    """Disjoint sets over orderable items, with path compression.
-
-    ``link`` adds an item and joins it to a target; an edge whose target has
-    not been linked yet waits in ``waiting`` until it is. The smaller root
-    wins each union, so ``find`` returns the smallest item of the item's set.
-    """
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-        self.waiting: dict = {}  # target not linked yet -> items joined to it
-
-    def link(self, item, target=None) -> None:
-        """Add ``item``, join the items waiting for it, then join it to
-        ``target`` now or, if ``target`` is not linked yet, once it is."""
-        self.parent.setdefault(item, item)
-        for child in self.waiting.pop(item, ()):
-            self._union(child, item)
-        if target in self.parent:
-            self._union(item, target)
-        elif target is not None:
-            self.waiting.setdefault(target, []).append(item)
-
-    def find(self, item):
-        """Smallest item of ``item``'s set; ``KeyError`` if it was never linked."""
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def _union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> list[set]:
-        by_root: dict = {}
-        for item in self.parent:
-            by_root.setdefault(self.find(item), set()).add(item)
-        return sorted(by_root.values(), key=lambda g: min(g))
-
-
 @dataclass(frozen=True)
 class RecencyWindow:
     """Candidate bound: by age in days, or by the last K records."""
@@ -270,20 +176,32 @@ class DetectionResult:
     params: ModelParams
 
 
+def _check_layout(root: Path) -> None:
+    """Raise ``MissingSequence`` if root holds a v1 store; called before
+    anything in it is created."""
+    if (root / _V1_SEQUENCE_DIR).is_dir() and not (root / _SEQUENCE_LOG).exists():
+        raise MissingSequence(
+            f"{root} is a v1 store ({_V1_SEQUENCE_DIR}/ and no {_SEQUENCE_LOG}); open it "
+            "for writing with kdetector 943fed2, the last commit that migrates it"
+        )
+
+
 class FailureStore:
     """Append-only record + sequence store backed by a directory.
 
-    The index lives in memory, one row per record in append order. Open
-    and ``append`` add each record to it through ``_index``, which first
-    rejects a stored dump id or bug id; an open from a verified checkpoint
-    fills the rows it covers from the checkpoint's columns and builds their
-    records only when asked. Open never reads the sequence log. A
-    ``read_only`` open writes nothing: a missing store is a ``MissingStore``.
-    A v1 store is a ``MissingSequence``, and no open writes to it.
+    The index lives in memory, one row per record in append order. Open and
+    ``append`` add each record to it through ``_index``, after
+    ``_check_new`` has rejected a repeated id or a ``dupe_of`` that names no
+    stored bug with a smaller id. An open from a verified checkpoint fills
+    the rows it covers from the checkpoint's columns and builds their
+    records only when asked. A ``read_only`` open writes nothing: a missing
+    store is a ``MissingStore``. A v1 store is a ``MissingSequence``, and no
+    open writes to it.
     """
 
     def __init__(self, root: Path | str, read_only: bool = False):
         self.root = Path(root)
+        _check_layout(self.root)
         self._records_path = str(self.root / _RECORDS_FILE)
         self._log_path = str(self.root / _SEQUENCE_LOG)
         self._checkpoint_path = str(self.root / _CHECKPOINT_FILE)
@@ -307,7 +225,7 @@ class FailureStore:
         # id once sorted
         self._ordered: list[tuple] = []
         self._unsorted = False  # a record may have arrived out of order since the last sort
-        self._groups = UnionFind()  # dupe_of groups; its items are the stored bug ids
+        self._canonical: dict[int, int] = {}  # bug id -> canonical bug, in append order
         start, line_count = self._open_checkpoint(data)  # the lines before start are indexed
         self._covered = len(self._records)  # rows the checkpoint read at open covers
         cut = data.rfind(b"\n") + 1  # where the last line without a \n starts
@@ -332,11 +250,6 @@ class FailureStore:
                 self._end_line = True
         self._sequences: dict[str, ComponentSequence] = {}
         self._log: str | None = None  # the sequence log's text, read on first use
-        if not os.path.exists(self._log_path) and (self.root / _V1_SEQUENCE_DIR).is_dir():
-            raise MissingSequence(
-                f"{self.root} is a v1 store ({_V1_SEQUENCE_DIR}/ and no {_SEQUENCE_LOG}); open it "
-                "for writing with kdetector 943fed2, the last commit that migrates it"
-            )
 
     def _open_checkpoint(self, data: bytes) -> tuple[int, int]:
         """Fill the index from the checkpoint when it verifies against
@@ -349,32 +262,25 @@ class FailureStore:
             return 0, 0
         if columns is None:
             return 0, 0
-        length, bug_ids, dump_ids, times, canonical, waiting = columns
+        length, bug_ids, dump_ids, times, canonical_bugs = columns
         lines = data[:length].decode("utf-8").split("\n")
         line_count = len(lines) - 1  # the text after the last \n is empty
         del lines[line_count]
         if len(lines) != len(bug_ids):
             lines = [line for line in lines if line.strip()]
         rows = dict(zip(dump_ids, range(len(dump_ids))))
-        parent = dict(zip(bug_ids, canonical))
+        canonical = dict(zip(bug_ids, canonical_bugs))
         # one line per row, and no dump id or bug id twice
-        if not len(lines) == len(rows) == len(parent) == len(bug_ids):
+        if not len(lines) == len(rows) == len(canonical) == len(bug_ids):
             return 0, 0
-        # each canonical bug is a stored root no larger than its own bug id,
-        # and each waiting edge joins stored bugs to one not stored, so
-        # find neither loops nor misses
-        if any(parent.get(root) != root or root > bug_id for bug_id, root in parent.items()):
+        # each canonical bug is a stored root no larger than its own bug id
+        if any(canonical.get(root) != root or root > bug_id for bug_id, root in canonical.items()):
             return 0, 0
-        waiting = dict(waiting)
-        if any(target in parent or not parent.keys() >= set(items) for target, items in waiting.items()):
-            return 0, 0
-        self._rows, self._lines = rows, lines
+        self._rows, self._lines, self._canonical = rows, lines, canonical
         self._records = [None] * len(bug_ids)
         self._max_bug_id = max(bug_ids, default=None)
         self._ordered = list(zip(times, bug_ids, range(len(bug_ids))))
         self._unsorted = True
-        self._groups.parent = parent
-        self._groups.waiting = waiting
         return length, line_count
 
     def _open_line(self, number: int, line: str) -> None:
@@ -386,10 +292,13 @@ class FailureStore:
             raise MalformedRecord(f"{self._records_path}:{number}: {exc}") from exc
 
     def _check_new(self, record: FailureRecord) -> None:
+        bug_id, dupe_of = record.bug_id, record.dupe_of
         if record.dump_id in self._rows:
             raise DuplicateDumpId(f"dump id {record.dump_id!r} is already stored")
-        if record.bug_id in self._groups.parent:
-            raise DuplicateBugId(f"bug id {record.bug_id} is already stored")
+        if bug_id in self._canonical:
+            raise DuplicateBugId(f"bug id {bug_id} is already stored")
+        if dupe_of is not None and not (dupe_of < bug_id and dupe_of in self._canonical):
+            raise MalformedRecord(f"dupe_of {dupe_of} names no stored bug id below {bug_id}")
 
     def _index(self, record: FailureRecord) -> None:
         """Add a record with a new dump id and bug id to the index."""
@@ -404,7 +313,8 @@ class FailureStore:
         if self._ordered and stamp <= self._ordered[-1][0]:
             self._unsorted = True
         self._ordered.append((stamp, record.bug_id, row))
-        self._groups.link(record.bug_id, record.dupe_of)
+        dupe_of = record.dupe_of
+        self._canonical[record.bug_id] = record.bug_id if dupe_of is None else self._canonical[dupe_of]
 
     def _record(self, row: int) -> FailureRecord:
         record = self._records[row]
@@ -479,10 +389,11 @@ class FailureStore:
         return (self._max_bug_id or 0) + 1
 
     def canonical_bug(self, bug_id: int) -> int:
-        """Smallest bug id in the union-find group along dupe_of edges."""
-        if bug_id not in self._groups.parent:
-            raise ValueError(f"bug {bug_id} is not in the store")
-        return self._groups.find(bug_id)
+        """Smallest bug id of the bug's group along dupe_of edges."""
+        try:
+            return self._canonical[bug_id]
+        except KeyError:
+            raise ValueError(f"bug {bug_id} is not in the store") from None
 
     def window(
         self, window: RecencyWindow, now: datetime.datetime | None = None
@@ -511,7 +422,8 @@ class FailureStore:
 
     def append(self, record: FailureRecord, sequence: ComponentSequence) -> None:
         """Write the sequence's block to the log, then the record's line; a
-        stored dump id or bug id is rejected before anything is written."""
+        repeated id or a bad ``dupe_of`` is rejected before anything is
+        written."""
         self._check_new(record)
         block = f"\n{record.bug_id}\n{sequence_to_text(sequence)}".encode()
         line = (("\n" if self._end_line else "") + record_to_json(record) + "\n").encode()
@@ -546,21 +458,19 @@ class FailureStore:
             return False
         with open(self._records_path, "rb") as fh:
             data = fh.read(self._size)
-        times, bug_ids = [0] * len(self), [0] * len(self)
-        for stamp, bug_id, row in self._ordered:
+        times = [0] * len(self)
+        for stamp, _, row in self._ordered:
             times[row] = stamp
-            bug_ids[row] = bug_id
-        find = self._groups.find
+        # the dump-id and canonical dicts are in append order, one entry per row
         payload = json.dumps(
             {
                 "format": _CHECKPOINT_FORMAT,
                 "length": len(data),
                 "sha256": hashlib.sha256(data).hexdigest(),
-                "bug_id": bug_ids,
+                "bug_id": list(self._canonical),
                 "dump_id": list(self._rows),
                 "creation_time": times,
-                "canonical_bug": [find(bug_id) for bug_id in bug_ids],
-                "waiting": list(self._groups.waiting.items()),
+                "canonical_bug": list(self._canonical.values()),
             },
             separators=(",", ":"),
         ).encode()
@@ -586,10 +496,10 @@ def _checkpoint_columns(raw: bytes, data: bytes):
     ``bugs.ndjson``; None otherwise.
 
     A checkpoint is the hex sha256 of its payload, a ``\n``, then the
-    payload: a JSON object giving the byte length it covers (ending at a
-    ``\n``), the sha256 of those bytes, one column per covered record line
-    (bug id, dump id, creation time as UTC microseconds, canonical bug) and
-    the ``dupe_of`` edges still waiting for their target.
+    payload: a JSON object giving its format, the byte length it covers
+    (ending at a ``\n``), the sha256 of those bytes and one column per
+    covered record line (bug id, dump id, creation time as UTC
+    microseconds, canonical bug).
     """
     digest, _, payload = raw.partition(b"\n")
     if hashlib.sha256(payload).hexdigest().encode() != digest:
@@ -598,7 +508,7 @@ def _checkpoint_columns(raw: bytes, data: bytes):
         checkpoint = json.loads(payload)
         length = checkpoint["length"]
         columns = [checkpoint[name] for name in _CHECKPOINT_COLUMNS]
-        waiting, expected = checkpoint["waiting"], checkpoint["sha256"]
+        expected = checkpoint["sha256"]
         if checkpoint["format"] != _CHECKPOINT_FORMAT or type(length) is not int:
             return None
     except (ValueError, KeyError, TypeError):
@@ -610,20 +520,16 @@ def _checkpoint_columns(raw: bytes, data: bytes):
     for column, kind in zip(columns, _CHECKPOINT_COLUMNS.values()):
         if type(column) is not list or len(column) != len(columns[0]) or set(map(type, column)) - {kind}:
             return None
-    if type(waiting) is not list or not all(
-        type(edge) is list and len(edge) == 2 and type(edge[0]) is int
-        and type(edge[1]) is list and not set(map(type, edge[1])) - {int}
-        for edge in waiting
-    ):
-        return None
-    return (length, *columns, waiting)
+    return (length, *columns)
 
 
 @contextlib.contextmanager
 def writer_lock(root: Path | str):
     """Hold an exclusive POSIX ``fcntl.flock`` on the store's ``bugs.ndjson``
-    (made, with its directory, if missing) until the block ends."""
+    (made, with its directory, if missing) until the block ends; a v1
+    store is rejected first."""
     root = Path(root)
+    _check_layout(root)
     root.mkdir(parents=True, exist_ok=True)
     with open(root / _RECORDS_FILE, "ab") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)

@@ -88,7 +88,8 @@ def parse_manifest(text: str, path: str = "") -> ComponentManifest:
     Later directives win: a second default overwrites the first and a file
     named twice keeps its last component, each with a warning recorded by
     the tree-level miner. Raises ManifestSyntaxError with file and line on
-    a directive that cannot be parsed.
+    a directive that cannot be parsed or whose component name holds a tab
+    or a line break, which the component map could not read back.
     """
     manifest, _ = _parse_manifest(text, path)
     return manifest
@@ -110,6 +111,10 @@ def _parse_manifest(text: str, path: str) -> tuple[ComponentManifest, list[str]]
                 "SET_COMPONENT needs a quoted component name", path, line_no
             )
         name, rest = body.group(1), body.group(2)
+        if "\t" in name or name.splitlines() != [name]:
+            raise ManifestSyntaxError(
+                f"component name {name!r} holds a tab or a line break", path, line_no
+            )
         if '"' in rest:
             raise ManifestSyntaxError(
                 "unexpected quoted token in SET_COMPONENT file list", path, line_no
@@ -301,14 +306,14 @@ def load_component_map(text: str, path: str = "component map") -> ComponentMap:
     """Read a snapshot back; file-level provenance is not persisted.
 
     Raises ``MalformedMap`` naming ``path`` and the line when a line has no
-    tab or an empty side.
+    tab, an empty side, or a component holding a tab.
     """
     function_map: dict[str, str] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         name, _, component = line.partition("\t")
-        if not (name and component):
+        if not (name and component) or "\t" in component:
             raise MalformedMap(f"{path}:{number}: {line!r} is not function<TAB>component")
         function_map[name] = component
     return ComponentMap(function_map)

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .detector import FailureRecord, UnionFind
+from .detector import FailureRecord
 from .dump_parser import StackFrame
 from .errors import DegenerateSet, MalformedFile
 from .knowledge_miner import ComponentMap
@@ -69,6 +69,50 @@ class LabeledPair:
             object.__setattr__(self, "dump_id_b", b)
 
 
+class UnionFind:
+    """Disjoint sets over orderable items, with path compression.
+
+    ``link`` adds an item and joins it to a target; an edge whose target has
+    not been linked yet waits in ``waiting`` until it is. The smaller root
+    wins each union, so ``find`` returns the smallest item of the item's set.
+    """
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+        self.waiting: dict = {}  # target not linked yet -> items joined to it
+
+    def link(self, item, target=None) -> None:
+        """Add ``item``, join the items waiting for it, then join it to
+        ``target`` now or, if ``target`` is not linked yet, once it is."""
+        self.parent.setdefault(item, item)
+        for child in self.waiting.pop(item, ()):
+            self._union(child, item)
+        if target in self.parent:
+            self._union(item, target)
+        elif target is not None:
+            self.waiting.setdefault(target, []).append(item)
+
+    def find(self, item):
+        """Smallest item of ``item``'s set; ``KeyError`` if it was never linked."""
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def _union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self) -> list[set]:
+        by_root: dict = {}
+        for item in self.parent:
+            by_root.setdefault(self.find(item), set()).add(item)
+        return sorted(by_root.values(), key=lambda g: min(g))
+
+
 def build_groups(
     records: Sequence[FailureRecord],
 ) -> tuple[list[set[int]], list[tuple[int, int]]]:
@@ -76,7 +120,8 @@ def build_groups(
 
     Returns the groups (sorted by their smallest bug id) and, in record
     order, the dangling edges whose dupe_of names a bug that is not in the
-    record set; those edges are skipped, not fatal.
+    record set; those edges are skipped, not fatal. Unlike the store, it
+    takes any records: an edge may name a later or larger bug id.
     """
     uf = UnionFind()
     for record in records:

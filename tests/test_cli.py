@@ -283,6 +283,8 @@ def test_synth_spec_with_too_few_distinct_stacks_is_data_error(tmp_path, capsys)
         ({"per_group": 2.5}, ["synth", "--out", "corpus"]),
         ({"groups": [2]}, ["synth", "--out", "corpus"]),
         ({"last_k": 2.5}, ["detect", "corpus/dumps/d000_0.dump"]),
+        ({"groups": None}, ["synth", "--out", "corpus"]),  # null unsets only a window bound
+        ({"map": None}, ["detect", "corpus/dumps/d000_0.dump"]),
     ],
 )
 def test_bad_config_is_usage_error(workspace, capsys, monkeypatch, config, argv):
@@ -311,8 +313,9 @@ def test_numeric_config_values_still_apply(workspace, capsys, monkeypatch):
     assert json.loads(out)["candidates_considered"] == 1
 
 
-@pytest.mark.parametrize("bad_line", ["app::no_tab", "\tCompA", "app::f\t"])
+@pytest.mark.parametrize("bad_line", ["app::no_tab", "\tCompA", "app::f\t", "app::f\tAlpha\tBeta"])
 def test_malformed_map_line_is_data_error(workspace, capsys, bad_line):
+    """The map is read before the writer lock, so a bad line leaves no store."""
     cmap = workspace / "bad_map.tsv"
     lines = (workspace / "map.tsv").read_text().splitlines()
     cmap.write_text("\n".join([*lines[:2], bad_line, *lines[2:]]) + "\n")
@@ -322,6 +325,17 @@ def test_malformed_map_line_is_data_error(workspace, capsys, bad_line):
     )
     assert code == 2
     assert f"{cmap}:3:" in err
+    assert not (workspace / "store-map").exists()
+
+
+def test_mine_rejects_a_component_name_the_map_cannot_hold(tmp_path, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "CMakeLists.txt").write_text('SET_COMPONENT("Alpha\tBeta")\n')
+    (tmp_path / "src" / "a.cpp").write_text("fn app::A::f1\n")
+    code, out, err = run(capsys, "mine", tmp_path / "src", "--out", tmp_path / "map.tsv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CMakeLists.txt:1: component name 'Alpha\\tBeta' holds a tab")
+    assert not (tmp_path / "map.tsv").exists()
 
 
 def test_config_that_is_not_valid_json_is_usage_error(workspace, capsys, monkeypatch):

@@ -3,8 +3,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdetector.errors import ManifestSyntaxError
+from kdetector.errors import MalformedMap, ManifestSyntaxError
 from kdetector.knowledge_miner import (
     build_function_component_map,
     dump_component_map,
@@ -60,6 +62,16 @@ class TestManifestParsing:
     def test_unclosed_directive_errors(self):
         with pytest.raises(ManifestSyntaxError):
             parse_manifest('SET_COMPONENT("A"')
+
+    # a tab, and every line break str.splitlines splits on
+    @pytest.mark.parametrize(
+        "brk", ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"],
+    )
+    def test_component_name_with_a_tab_or_line_break_errors_with_location(self, brk):
+        with pytest.raises(ManifestSyntaxError, match="holds a tab or a line break") as err:
+            parse_manifest(f'\nSET_COMPONENT("Alpha{brk}Beta" a.cpp)\n', "dir/CMakeLists.txt")
+        assert (err.value.path, err.value.line) == ("dir/CMakeLists.txt", 2)
 
     def test_directive_inside_comment_ignored(self):
         manifest = parse_manifest('# SET_COMPONENT("Ghost")\nSET_COMPONENT("Real")\n')
@@ -205,6 +217,27 @@ def test_snapshot_round_trip(tmp_path):
     loaded = load_component_map(text)
     assert loaded.function_to_component == cmap.function_to_component
     assert loaded.stats.functions == cmap.stats.functions
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(min_size=1, max_size=8).filter(lambda name: '"' not in name))
+def test_every_accepted_component_name_round_trips_through_the_map(name):
+    """A component name the manifest parser accepts is read back from the
+    written map unchanged; the parser rejects exactly the names holding a
+    tab or a line break."""
+    try:
+        manifest = parse_manifest(f'SET_COMPONENT("{name}" mod.cpp)\n', "CMakeLists.txt")
+    except ManifestSyntaxError:
+        assert "\t" in name or name.splitlines() != [name]
+        return
+    cmap, _ = build_function_component_map(manifest.file_overrides, {"mod.cpp": ["a::go"]})
+    loaded = load_component_map(dump_component_map(cmap, "x"), "map.tsv")
+    assert loaded.function_to_component == {"a::go": name}
+
+
+def test_a_map_component_holding_a_tab_names_its_line():
+    with pytest.raises(MalformedMap, match=r"^map\.tsv:3: 'app::A::f1\\tAlpha\\tBeta' is not"):
+        load_component_map("#version 1 mined=x\napp::B::g\tB\napp::A::f1\tAlpha\tBeta\n", "map.tsv")
 
 
 def test_sibling_visit_order_does_not_matter(tmp_path):

@@ -65,9 +65,10 @@ def _record(step) -> FailureRecord:
 
 
 def _append(store: FailureStore, step) -> None:
-    """Append the step's record; a repeated id is rejected and skipped."""
+    """Append the step's record; a repeated id, or a dupe_of naming no
+    stored bug with a smaller id, is rejected and skipped."""
     record = _record(step)
-    with contextlib.suppress(DuplicateDumpId, DuplicateBugId):
+    with contextlib.suppress(DuplicateDumpId, DuplicateBugId, MalformedRecord):
         store.append(record, _sequence(record.dump_id))
 
 
@@ -129,11 +130,17 @@ def _assert_opens_like_a_full_open(root: Path) -> None:
 
 @settings(max_examples=120, deadline=None)
 @given(STEPS, st.sampled_from(TAILS), APPEND)
-@example(  # a dupe_of edge waits for bug 3, which arrives past the covered range
-    [("append", "d0", 5, 3, 2, UTC, False), ("append", "d1", 6, 5, 1, PLUS_TWO, False),
-     ("checkpoint",), ("append", "d2", 3, None, 0, UTC, False)],
+@example(  # dupe_of edges across the covered range, and one rejected for a larger id
+    [("append", "d0", 1, None, 2, UTC, False), ("append", "d1", 3, 1, 1, PLUS_TWO, False),
+     ("checkpoint",), ("append", "d2", 5, 3, 0, UTC, False),
+     ("append", "d3", 2, 5, 0, UTC, False)],
     TAILS[2],
-    ("append", "d3", 1, 3, 4, UTC, False),
+    ("append", "d4", 6, 5, 4, UTC, False),
+)
+@example(  # the tail line's dupe_of names a bug that is not stored
+    [("append", "d0", 1, None, 2, UTC, False), ("checkpoint",)],
+    TAILS[2],
+    ("append", "d4", 6, 1, 4, UTC, False),
 )
 @example(  # out-of-order and tied times inside the covered range, a torn tail
     [("append", "d0", 2, None, 3, UTC, False), ("append", "d1", 1, None, 3, PLUS_TWO, False),
@@ -159,6 +166,10 @@ def test_checkpoint_open_equals_full_open(steps, tail, extra):
         if tail == TAILS[2]:  # a record line lacks only its \n: its block is whole
             with open(root / "sequences.log", "a") as fh:
                 fh.write(f"\n50\n{sequence_to_text(_sequence('tail'))}")
+        reference = _outcome(_without_checkpoint(root))
+        if not isinstance(reference, dict):  # the tail line names no stored dupe_of
+            assert _outcome(root) == reference
+            return
         if (root / CHECKPOINT).exists():
             # the checkpoint was used: open decodes only the lines past it
             opened, decoded = _open_counting_decodes(root)
@@ -178,12 +189,12 @@ def test_checkpoint_open_equals_full_open(steps, tail, extra):
 
 def _build(root: Path, count: int = 12) -> FailureStore:
     """A store of count records (bug ids 10, 11, ...) with crash times out
-    of order, some bound along dupe_of and one edge waiting for bug 99,
-    with a checkpoint covering all of them."""
+    of order and some bound along dupe_of, with a checkpoint covering all
+    of them."""
     store = FailureStore(root)
     for i in range(count):
         created = EPOCH + datetime.timedelta(hours=(7 * i) % count)
-        dupe_of = 99 if i == 7 else 8 + i if i % 3 == 2 else None
+        dupe_of = 8 + i if i % 3 == 2 else None
         store.append(FailureRecord(10 + i, f"d{i}", "", created, dupe_of, "CompA"),
                      _sequence(f"d{i}"))
     assert _write_checkpoint(store)
@@ -324,7 +335,7 @@ def _resealed(payload: dict) -> bytes:
 @pytest.mark.parametrize(
     "change",
     [
-        {"format": 2},
+        {"format": 1},
         {"length": 10},  # not at the end of a line
         {"length": True},
         {"bug_id": ["10", *range(11, 22)]},
@@ -337,19 +348,14 @@ def _resealed(payload: dict) -> bytes:
         {"canonical_bug": [11, 10, *range(12, 22)]},  # a cycle
         {"canonical_bug": [5, *range(11, 22)]},  # a bug id that is not stored
         {"canonical_bug": [11, 11, *range(12, 22)]},  # larger than its own bug id
-        {"waiting": [[10, [17]]]},  # waiting for a stored bug id
-        {"waiting": [[99, [5]]]},  # a waiting bug id that is not stored
-        {"waiting": [[99]]},
-        {"waiting": [[99, ["17"]]]},
-        {"waiting": {"99": [17]}},
         {"sha256": None},
         {"bug_id": None},
     ],
 )
 def test_a_resealed_checkpoint_with_bad_columns_opens_in_full(tmp_path, change):
     """A checkpoint whose own hash holds but whose columns are not well
-    formed (a later format, say, or canonical bugs that would make find
-    loop or miss) is not used."""
+    formed (another format, say, or a canonical bug that is not a stored
+    root no larger than its own bug id) is not used."""
     root = tmp_path / "store"
     _build(root)
     payload = json.loads((root / CHECKPOINT).read_bytes().partition(b"\n")[2])
@@ -358,6 +364,22 @@ def test_a_resealed_checkpoint_with_bad_columns_opens_in_full(tmp_path, change):
     (root / CHECKPOINT).write_bytes(_resealed({**payload, **change}))
     assert _open_counting_decodes(root)[1] == 12
     _assert_opens_like_a_full_open(root)
+
+
+def test_a_format_1_checkpoint_opens_in_full_and_the_next_writer_replaces_it(tmp_path, monkeypatch):
+    """A checkpoint of the format that still carried waiting dupe_of edges
+    is ignored, and the next CLI writer writes one of the current format."""
+    root = tmp_path / "store"
+    _build(root)
+    payload = json.loads((root / CHECKPOINT).read_bytes().partition(b"\n")[2])
+    assert payload["format"] == 2 and "waiting" not in payload
+    (root / CHECKPOINT).write_bytes(_resealed({**payload, "format": 1, "waiting": []}))
+    assert _open_counting_decodes(root)[1] == 12
+    _assert_opens_like_a_full_open(root)
+    monkeypatch.setattr(detector, "CHECKPOINT_EVERY", 13)
+    assert _detect(tmp_path, root, "--bind")[0] == 0
+    assert json.loads((root / CHECKPOINT).read_bytes().partition(b"\n")[2])["format"] == 2
+    assert _open_counting_decodes(root)[1] == 0
 
 
 def test_writers_keep_it_and_readers_never_write_it(tmp_path, monkeypatch):

@@ -79,6 +79,14 @@ def _line(**changes) -> str:
     return json.dumps({**GOOD, **changes})
 
 
+def _breaks_dupe_of_rule(records: list[FailureRecord], record: FailureRecord) -> bool:
+    """Whether the store rejects the record's dupe_of: one that is set must
+    name a stored bug with a smaller bug id."""
+    return record.dupe_of is not None and not (
+        record.dupe_of < record.bug_id and any(r.bug_id == record.dupe_of for r in records)
+    )
+
+
 def _assert_matches_scans(store: FailureStore, records: list[FailureRecord]) -> None:
     for dump_id in DUMP_IDS:
         assert store.has_dump(dump_id) == oracles.has_dump(records, dump_id)
@@ -100,6 +108,13 @@ def _assert_matches_scans(store: FailureStore, records: list[FailureRecord]) -> 
 # a time tie: the smaller bug id, appended later, goes first
 @example([("append", "d0", 2, None, 0, datetime.timezone.utc, True),
           ("append", "d1", 1, None, 0, PLUS_TWO, True)])
+# a dupe_of naming a later bug, a larger stored one or one never stored is
+# rejected; one naming a smaller stored bug joins its group
+@example([("append", "d0", 3, 4, 0, datetime.timezone.utc, True),
+          ("append", "d1", 4, None, 1, datetime.timezone.utc, True),
+          ("append", "d2", 2, 4, 2, datetime.timezone.utc, True),
+          ("append", "d3", 5, 1, 3, datetime.timezone.utc, True),
+          ("append", "d4", 6, 4, 4, datetime.timezone.utc, True)])
 def test_index_matches_record_scans(steps):
     with tempfile.TemporaryDirectory() as tmp:
         store = FailureStore(tmp)
@@ -123,6 +138,9 @@ def test_index_matches_record_scans(steps):
             elif any(r.bug_id == bug_id for r in records):
                 with pytest.raises(DuplicateBugId):
                     store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
+            elif _breaks_dupe_of_rule(records, record):
+                with pytest.raises(MalformedRecord, match=f"dupe_of {record.dupe_of} names"):
+                    store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
             else:
                 store.append(record, make_sequence([("CompA", ["a::f"])], dump_id))
                 records.append(record)
@@ -132,33 +150,15 @@ def test_index_matches_record_scans(steps):
         assert len(FailureStore(tmp)) == len(records)
 
 
-def test_dangling_edge_joins_when_its_target_arrives(tmp_path):
-    store = FailureStore(tmp_path)
-    seq = make_sequence([("CompA", ["a::f"])])
-
-    def add(bug_id, dupe_of=None):
-        record = FailureRecord(bug_id, f"d{bug_id}", "", EPOCH, dupe_of, "CompA")
-        store.append(record, seq)
-
-    add(5, dupe_of=3)
-    assert store.canonical_bug(5) == 5  # bug 3 is not stored yet
-    add(7, dupe_of=5)
-    assert store.canonical_bug(7) == 5
-    add(3)
-    assert [store.canonical_bug(b) for b in (3, 5, 7)] == [3, 3, 3]
-    with pytest.raises(ValueError):
-        store.canonical_bug(4)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(BUG_IDS, st.none() | BUG_IDS), max_size=12), st.integers(0, 12))
 @example([(5, 3), (7, 5), (3, None)], 1)  # dupe_of names a bug stored later
 @example([(5, 9), (6, 5)], 1)  # dupe_of names a bug never stored
 def test_store_groups_agree_with_build_groups(edges, reopen_at):
-    """The store and training link dupe_of through the same union-find: every
-    bug's canonical bug is the smallest bug id of its build_groups group. A
-    repeated bug id is rejected, and the groups are those of the accepted
-    records."""
+    """The store groups along dupe_of as training does: every bug's
+    canonical bug is the smallest bug id of its build_groups group. A
+    repeated bug id and a dupe_of naming no stored bug with a smaller id are
+    rejected, and the groups are those of the accepted records."""
     records = [
         FailureRecord(bug_id, f"d{i}", "", EPOCH, None if dupe_of == bug_id else dupe_of, "CompA")
         for i, (bug_id, dupe_of) in enumerate(edges)
@@ -172,6 +172,9 @@ def test_store_groups_agree_with_build_groups(edges, reopen_at):
             sequence = make_sequence([("CompA", ["a::f"])], record.dump_id)
             if any(r.bug_id == record.bug_id for r in accepted):
                 with pytest.raises(DuplicateBugId):
+                    store.append(record, sequence)
+            elif _breaks_dupe_of_rule(accepted, record):
+                with pytest.raises(MalformedRecord):
                     store.append(record, sequence)
             else:
                 store.append(record, sequence)
@@ -203,30 +206,36 @@ def test_hostile_dump_id_is_stored_and_read_back(tmp_path, dump_id):
 def test_a_v1_store_is_a_data_error_that_changes_nothing(tmp_path, capsys, argv):
     """A v1 store (sequences/<dump_id>.tsv and no sequences.log) is no longer
     read: each command names the layout and the last commit that migrates
-    it, and no file changes. A v1 store read sequences/../../secret.tsv for
-    this stored dump id."""
+    it, and no file changes, also when the directory holds only sequences/.
+    A v1 store read sequences/../../secret.tsv for this stored dump id."""
     (tmp_path / "secret.tsv").write_text("0\tCompA\ta::f\n")
-    store = tmp_path / "store"
-    (store / "sequences").mkdir(parents=True)
-    (store / "sequences" / "d1.tsv").write_text("0\tCompA\ta::f\n")
+    store, bare = tmp_path / "store", tmp_path / "bare"
+    for root in (store, bare):
+        (root / "sequences").mkdir(parents=True)
+        (root / "sequences" / "d1.tsv").write_text("0\tCompA\ta::f\n")
     lines = [_line(bug_id=1, dump_id="d1"), _line(bug_id=2, dump_id="../../secret")]
     (store / "bugs.ndjson").write_text("\n".join(lines) + "\n")
     (tmp_path / "map.tsv").write_text("#version 1 mined=x\napp::A::f1\tCompA\n")
     (tmp_path / "stop.tsv").write_text("#cutoff: 0\n")
     (tmp_path / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
     (tmp_path / "probe.dump").write_text(make_dump_text(["app::A::f1"], dump_id="probe"))
-    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
-    command = [argv[0], tmp_path / "probe.dump", "--map", tmp_path / "map.tsv",
-               "--stoplist", tmp_path / "stop.tsv", "--store", store, *argv[1:]]
-    if argv[0] == "detect":
-        command += ["--params", tmp_path / "params.txt"]
-    assert main([str(a) for a in command]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {store} is a v1 store (sequences/ and no sequences.log)")
-    assert "943fed2, the last commit that migrates it" in captured.err
-    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
-    assert not (store / "sequences.log").exists()
+    def files():
+        return {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+
+    before = files()
+    for root in (store, bare):
+        command = [argv[0], tmp_path / "probe.dump", "--map", tmp_path / "map.tsv",
+                   "--stoplist", tmp_path / "stop.tsv", "--store", root, *argv[1:]]
+        if argv[0] == "detect":
+            command += ["--params", tmp_path / "params.txt"]
+        assert main([str(a) for a in command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {root} is a v1 store (sequences/ and no sequences.log)")
+        assert "943fed2, the last commit that migrates it" in captured.err
+    with pytest.raises(MissingSequence, match="is a v1 store"):
+        FailureStore(bare)
+    assert files() == before
 
 
 @pytest.mark.parametrize("command", ["ingest", "detect"])
@@ -279,17 +288,26 @@ def test_unstorable_sequence_is_rejected_before_any_write(tmp_path, occurrences)
 
 @pytest.mark.parametrize(
     "repeat, error",
-    [((1, "b"), DuplicateBugId), ((3, "a"), DuplicateDumpId), ((1, "a"), DuplicateDumpId)],
+    [
+        ((1, "b", None), DuplicateBugId),
+        ((3, "a", None), DuplicateDumpId),
+        ((1, "a", None), DuplicateDumpId),
+        ((3, "d", 4), MalformedRecord),  # dupe_of names a bug not stored yet
+        ((5, "d", 3), MalformedRecord),  # dupe_of names a smaller bug never stored
+        ((0, "d", 2), MalformedRecord),  # dupe_of names a stored bug with a larger id
+    ],
 )
 def test_append_rejects_a_repeated_id_before_any_write(tmp_path, repeat, error):
+    """A repeated id, or a dupe_of naming no stored bug with a smaller id, is
+    rejected before either file changes."""
     store = FailureStore(tmp_path)
     for bug_id, dump_id in [(1, "a"), (2, "c")]:
         store.append(FailureRecord(bug_id, dump_id, "", EPOCH, None, "CompA"),
                      make_sequence([("CompA", [f"{dump_id}::f"])], dump_id))
     files = {name: (tmp_path / name).read_bytes() for name in ("bugs.ndjson", "sequences.log")}
-    bug_id, dump_id = repeat
+    bug_id, dump_id, dupe_of = repeat
     with pytest.raises(error):
-        store.append(FailureRecord(bug_id, dump_id, "", EPOCH, None, "CompA"),
+        store.append(FailureRecord(bug_id, dump_id, "", EPOCH, dupe_of, "CompA"),
                      make_sequence([("CompA", ["new::f"])], dump_id))
     assert {name: (tmp_path / name).read_bytes() for name in files} == files
     assert [r.dump_id for r in FailureStore(tmp_path).records] == ["a", "c"]
@@ -297,15 +315,23 @@ def test_append_rejects_a_repeated_id_before_any_write(tmp_path, repeat, error):
 
 @pytest.mark.parametrize(
     "third, repeated",
-    [(_line(bug_id=1, dump_id="d3"), "bug id 1"), (_line(bug_id=3, dump_id="d1"), "dump id 'd1'")],
+    [
+        (_line(bug_id=1, dump_id="d3"), "bug id 1"),
+        (_line(bug_id=3, dump_id="d1"), "dump id 'd1'"),
+        (_line(bug_id=3, dump_id="d3", dupe_of=4), "dupe_of 4 names no stored bug id below 3"),
+        (_line(bug_id=5, dump_id="d3", dupe_of=3), "dupe_of 3 names no stored bug id below 5"),
+        (_line(bug_id=0, dump_id="d3", dupe_of=2), "dupe_of 2 names no stored bug id below 0"),
+    ],
 )
 @pytest.mark.parametrize("newline", ["\n", ""])
 def test_open_rejects_a_repeated_id_naming_its_line(tmp_path, third, repeated, newline):
     """A repeat on disk (from a writer without the lock, or an edit) is a
-    data error at open, also on a last line without its \n."""
+    data error at open, also on a last line without its \n; so is a dupe_of
+    naming a later bug, a smaller one never stored or a larger one."""
     lines = [_line(), _line(bug_id=2, dump_id="d2"), third]
     (tmp_path / "bugs.ndjson").write_text("\n".join(lines) + newline)
-    with pytest.raises(MalformedRecord, match=rf"bugs\.ndjson:3: {repeated} is already stored"):
+    message = repeated if repeated.startswith("dupe_of") else f"{repeated} is already stored"
+    with pytest.raises(MalformedRecord, match=rf"bugs\.ndjson:3: {message}$"):
         FailureStore(tmp_path)
 
 
@@ -371,6 +397,7 @@ def test_cold_detect_parses_only_the_windows_blocks(tmp_path, monkeypatch):
         _line(creation_time="2026-01-01T00:00:00"),
         "[1, 2]",
         '{"bug_id": 2',
+        _line(bug_id=2, dupe_of=3),
     ],
 )
 def test_malformed_record_names_file_and_line(tmp_path, capsys, line):

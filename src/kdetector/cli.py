@@ -13,10 +13,12 @@ appended since the last one. They read the map and the stop list, and read
 and sequence the dump, before they take the lock, so an input that is
 missing or bad leaves no store behind.
 A read-only ``detect`` takes no lock and writes nothing; a store that does
-not exist is a data error for it. A dump that is not UTF-8 text or not a
-usable dump is a data error naming the file, except to ``stopwords``,
-which skips it with a warning. Exit codes: 0 success, 1 usage error, 2
-data error.
+not exist is a data error for it. Every input file is read as UTF-8 text,
+whatever the locale, and its lines split at ``\n`` only. A dump that is not
+UTF-8 text or not a usable dump is a data error naming the file, except to
+``stopwords``, which skips it with a warning. Exit codes: 0 success, 1
+usage error, 2 data error naming its file (and its line where there is
+one). Any other exception is a bug and leaves with its traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +48,7 @@ from .errors import (
     MalformedHeader,
     MissingSection,
     StoreWriteError,
+    read_text,
 )
 from .knowledge_miner import (
     ComponentMap,
@@ -94,12 +98,16 @@ def build_parser(config: dict | None = None) -> _Parser:
 
     def dflt(key: str, fallback, nullable: bool = False):
         # as text, so the option's own type checks a config value too; null
-        # only unsets a window bound
+        # only unsets a window bound, and a path option (one whose fallback
+        # is text) takes only a string the file system can take
         if key not in config:
             return fallback
-        if config[key] is None and not nullable:
+        value = config[key]
+        if value is None and not nullable:
             raise UsageError(f"argument --config: {key} cannot be null")
-        return None if config[key] is None else str(config[key])
+        if isinstance(fallback, str) and not _usable_path(value):
+            raise UsageError(f"argument --config: {key} is not a usable path: {value!r}")
+        return None if value is None else str(value)
 
     parser = _Parser(prog="kdetector", description=__doc__)
     parser.add_argument("--config", help="JSON file with default option values")
@@ -169,6 +177,15 @@ def build_parser(config: dict | None = None) -> _Parser:
     return parser
 
 
+def _usable_path(value) -> bool:
+    """Whether value is a string the file system can take as a path: it
+    holds no NUL and no lone surrogate that cannot be encoded."""
+    try:
+        return isinstance(value, str) and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
+
+
 def _pipeline_options(p: argparse.ArgumentParser, dflt) -> None:
     p.add_argument("--dumps", default=dflt("dumps", "dumps"))
     p.add_argument("--map", dest="map_file", default=dflt("map", "componentmap.tsv"))
@@ -176,7 +193,7 @@ def _pipeline_options(p: argparse.ArgumentParser, dflt) -> None:
 
 
 def _load_map(args) -> ComponentMap:
-    return load_component_map(Path(args.map_file).read_text(), args.map_file)
+    return load_component_map(read_text(args.map_file), args.map_file)
 
 
 def _at_least(option: str, value, floor: int) -> None:
@@ -186,15 +203,16 @@ def _at_least(option: str, value, floor: int) -> None:
 
 
 def _load_stoplist(args) -> StopWordList:
-    return parse_stop_words(Path(args.stoplist).read_text(), args.stoplist)
+    return parse_stop_words(read_text(args.stoplist), args.stoplist)
 
 
 def _load_params(args) -> ModelParams:
-    return parse_params(Path(args.params).read_text(), args.params)
+    return parse_params(read_text(args.params), args.params)
 
 
-# what a dump that is not UTF-8 text or not a usable dump raises; ValueError
-# covers UnicodeDecodeError and int()'s digit limit on a frame index
+# what a dump that is not a usable dump raises; ValueError covers int()'s
+# digit limit on a frame index and a path holding a NUL. read_text names the
+# file itself when the dump is not UTF-8 text
 _DUMP_ERRORS = (ValueError, MalformedHeader, MissingSection, EmptyStack)
 
 
@@ -211,7 +229,7 @@ def _sequence_file(dump_path, cmap, stop_list):
     """The dump's component sequence and crash time, read before any store
     is touched, so a bad dump leaves no store behind."""
     with _naming(dump_path):
-        dump, sequence = sequence_dump(Path(dump_path).read_text(), cmap, stop_list)
+        dump, sequence = sequence_dump(read_text(dump_path), cmap, stop_list)
         return sequence, dump_time(dump)
 
 
@@ -222,7 +240,7 @@ def _load_dumps(dump_ids, dumps_dir, cmap, stop_list):
     for dump_id in sorted(dump_ids):
         path = Path(dumps_dir) / f"{dump_id}.dump"
         with _naming(path):
-            dump, sequences[dump_id] = sequence_dump(path.read_text(), cmap, stop_list, dump_id)
+            dump, sequences[dump_id] = sequence_dump(read_text(path), cmap, stop_list, dump_id)
         names[dump_id] = [f.function_name for f in dump.backtrace_frames]
     return sequences, names
 
@@ -230,10 +248,10 @@ def _load_dumps(dump_ids, dumps_dir, cmap, stop_list):
 def _cmd_mine(args) -> int:
     index_text = None
     if args.function_index:
-        index_text = Path(args.function_index).read_text()
+        index_text = read_text(args.function_index)
     cmap, report = mine_tree(args.src_root, index_text)
     Path(args.out).write_text(
-        dump_component_map(cmap, snapshot_stamp(args.src_root))
+        dump_component_map(cmap, snapshot_stamp(args.src_root)), encoding="utf-8"
     )
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -246,29 +264,31 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_stopwords(args) -> int:
+    _at_least("--cutoff", args.cutoff, 0)
     corpus = []
     for path in sorted(Path(args.corpus_dir).glob("*.dump")):
         try:
-            corpus.append(parse_dump(path.read_text()))
-        except (KDetectorError, ValueError) as exc:
-            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
+            with _naming(path):
+                corpus.append(parse_dump(read_text(path)))
+        except KDetectorError as exc:
+            print(f"warning: skipping {exc}", file=sys.stderr)
     if not corpus:
         raise EmptyCorpus(f"no parseable dumps under {args.corpus_dir}")
     stop_list = derive_stop_words(corpus, cutoff=args.cutoff)
-    Path(args.out).write_text(format_stop_words(stop_list))
+    Path(args.out).write_text(format_stop_words(stop_list), encoding="utf-8")
     print(f"entries={len(stop_list.entries)} cutoff={stop_list.cutoff_length}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    pairs = parse_pairs(Path(args.pairs_file).read_text(), args.pairs_file)
+    pairs = parse_pairs(read_text(args.pairs_file), args.pairs_file)
     cmap = _load_map(args)
     stop_list = _load_stoplist(args)
     ids = {p.dump_id_a for p in pairs} | {p.dump_id_b for p in pairs}
     sequences, _ = _load_dumps(ids, args.dumps, cmap, stop_list)
     result = tune_parameters(pairs, sequences)
-    Path(args.params_out).write_text(format_params(result.params))
-    Path(args.grid_out).write_text(format_grid_report(result))
+    Path(args.params_out).write_text(format_params(result.params), encoding="utf-8")
+    Path(args.grid_out).write_text(format_grid_report(result), encoding="utf-8")
     print(
         f"m={result.params.m:.1f} n={result.params.n:.1f} "
         f"auc={result.best_auc:.6f} threshold={result.params.threshold:.6f}"
@@ -277,7 +297,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pairs = parse_pairs(Path(args.pairs_file).read_text(), args.pairs_file)
+    pairs = parse_pairs(read_text(args.pairs_file), args.pairs_file)
     cmap = _load_map(args)
     stop_list = _load_stoplist(args)
     params = _load_params(args)
@@ -373,13 +393,16 @@ def _cmd_synth(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        for arg in argv:  # checked before any file is opened or made
+            if not _usable_path(arg):
+                raise UsageError(f"argument {arg!r} holds a character no path can hold")
         config = {}
         if "--config" in argv:
             at = argv.index("--config") + 1
             if at == len(argv):
                 raise UsageError("argument --config: expected one argument")
             try:
-                config = json.loads(Path(argv[at]).read_text())
+                config = json.loads(read_text(argv[at]))
             except json.JSONDecodeError as exc:
                 raise UsageError(f"argument --config: {argv[at]} is not valid JSON: {exc}") from None
             if not isinstance(config, dict):
@@ -390,7 +413,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (KDetectorError, OSError, ValueError, KeyError) as exc:
+    except (KDetectorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

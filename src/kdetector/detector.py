@@ -229,7 +229,11 @@ class FailureStore:
         start, line_count = self._open_checkpoint(data)  # the lines before start are indexed
         self._covered = len(self._records)  # rows the checkpoint read at open covers
         cut = data.rfind(b"\n") + 1  # where the last line without a \n starts
-        lines = data[start:cut].decode("utf-8").split("\n")
+        try:
+            lines = data[start:cut].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            number = line_count + 1 + data.count(b"\n", start, start + exc.start)
+            raise MalformedRecord(f"{self._records_path}:{number}: not UTF-8 ({exc.reason})") from None
         for number, line in enumerate(lines, start=line_count + 1):
             if line.strip():
                 self._open_line(number, line)
@@ -263,7 +267,10 @@ class FailureStore:
         if columns is None:
             return 0, 0
         length, bug_ids, dump_ids, times, canonical_bugs = columns
-        lines = data[:length].decode("utf-8").split("\n")
+        try:
+            lines = data[:length].decode("utf-8").split("\n")
+        except UnicodeDecodeError:  # the full open names the line
+            return 0, 0
         line_count = len(lines) - 1  # the text after the last \n is empty
         del lines[line_count]
         if len(lines) != len(bug_ids):

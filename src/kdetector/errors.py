@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one place that reads
+an input file and splits it into numbered lines."""
 
 
 class KDetectorError(Exception):
@@ -18,8 +19,7 @@ class EmptyStack(KDetectorError):
 
 
 class MalformedDump(KDetectorError):
-    """A dump file is not UTF-8 text or not a usable dump; the message
-    names the file."""
+    """A dump file is not a usable dump; the message names the file."""
 
 
 class ManifestSyntaxError(KDetectorError):
@@ -36,12 +36,18 @@ class MalformedMap(KDetectorError):
 
 
 class MalformedFile(KDetectorError):
-    """A params, stop-list or pairs file has a line that cannot be read or
-    lacks a field; the message names the file and the line."""
+    """An input file is not UTF-8 text, or a params, stop-list or pairs file
+    has a line that cannot be read or lacks a field; the message names the
+    file and, for a line, its number."""
 
 
 class EmptyCorpus(KDetectorError):
     """An operation that needs at least one dump received none."""
+
+
+class TooFewStacks(KDetectorError):
+    """A synthetic corpus spec's pools yield too few distinct base stacks
+    for its groups."""
 
 
 class ComponentMismatch(KDetectorError):
@@ -81,3 +87,30 @@ class UnstorableSequence(KDetectorError):
     """A component sequence cannot be written to the sequence log: it has no
     occurrences, an occurrence has no functions, or a name holds a tab or a
     newline."""
+
+
+def read_text(path) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale, with every
+    line break kept as it is; text that is not UTF-8 is a ``MalformedFile``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {exc}") from None
+
+
+def parse_lines(text: str, path: str, parse, error: type = MalformedFile) -> list:
+    """``(number, parse(line))`` for each line of ``text``, split at ``\\n``
+    only and numbered from 1, leaving out the lines ``parse`` returns None
+    for. A ``ValueError`` that ``parse`` raises becomes ``error`` naming
+    ``path:number``."""
+    parsed = []
+    for number, line in enumerate(text.split("\n"), start=1):
+        try:
+            value = parse(line)
+        except ValueError as exc:
+            raise error(f"{path}:{number}: {exc}") from None
+        if value is not None:
+            parsed.append((number, value))
+    return parsed

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MalformedMap, ManifestSyntaxError
+from .errors import MalformedMap, ManifestSyntaxError, parse_lines, read_text
 
 MANIFEST_NAME = "CMakeLists.txt"
 SOURCE_SUFFIXES = {".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp"}
@@ -66,20 +66,20 @@ class ComponentMap:
         return self.function_to_component.get(function_name)
 
 
-def _strip_comments(text: str) -> str:
-    # '#' starts a comment unless inside a quoted string; line structure kept
-    lines = []
-    for line in text.splitlines():
-        kept = []
-        in_quote = False
-        for ch in line:
-            if ch == '"':
-                in_quote = not in_quote
-            if ch == "#" and not in_quote:
-                break
-            kept.append(ch)
-        lines.append("".join(kept))
-    return "\n".join(lines)
+def _strip_comment(line: str) -> str:
+    # '#' starts a comment unless inside a quoted string
+    in_quote = False
+    for at, ch in enumerate(line):
+        if ch == '"':
+            in_quote = not in_quote
+        elif ch == "#" and not in_quote:
+            return line[:at]
+    return line
+
+
+def _strip_comments(text: str, path: str) -> str:
+    # line structure kept, so a directive's line number counts \n only
+    return "\n".join(line for _, line in parse_lines(text, path, _strip_comment))
 
 
 def parse_manifest(text: str, path: str = "") -> ComponentManifest:
@@ -96,7 +96,7 @@ def parse_manifest(text: str, path: str = "") -> ComponentManifest:
 
 
 def _parse_manifest(text: str, path: str) -> tuple[ComponentManifest, list[str]]:
-    stripped = _strip_comments(text)
+    stripped = _strip_comments(text, path)
     default: str | None = None
     overrides: dict[str, str] = {}
     warnings: list[str] = []
@@ -166,7 +166,7 @@ def parse_component_manifests(
         manifest_path = directory / MANIFEST_NAME
         if manifest_path.is_file():
             rel = manifest_path.relative_to(root).as_posix()
-            manifest, warnings = _parse_manifest(manifest_path.read_text(), rel)
+            manifest, warnings = _parse_manifest(read_text(manifest_path), rel)
             report.warnings.extend(warnings)
         default = manifest.default_component if manifest and manifest.default_component else inherited
         overrides = manifest.file_overrides if manifest else {}
@@ -191,7 +191,7 @@ def scan_declarations(source: str) -> tuple[list[str], int]:
     names: list[str] = []
     seen: set[str] = set()
     skipped = 0
-    for line in source.splitlines():
+    for line in source.split("\n"):
         stripped = line.strip()
         if not stripped or stripped.startswith(("//", "#")):
             continue
@@ -206,22 +206,24 @@ def scan_declarations(source: str) -> tuple[list[str], int]:
     return names, skipped
 
 
+def _index_record(line: str) -> tuple[str, ...] | None:
+    # () for a line that is not file<TAB>qualified-name
+    if not line.strip() or line.startswith("#"):
+        return None
+    parts = [part.strip() for part in line.split("\t")]
+    return tuple(parts) if len(parts) == 2 and _QNAME_RE.match(parts[1]) else ()
+
+
 def load_function_index(text: str) -> tuple[dict[str, list[str]], int]:
-    """Parse ``file-path<TAB>qualified-name`` records into per-file lists."""
+    """Parse ``file-path<TAB>qualified-name`` records into per-file lists,
+    and count the lines that are not such a record."""
+    records = [record for _, record in parse_lines(text, "function index", _index_record)]
     by_file: dict[str, list[str]] = {}
-    skipped = 0
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not _QNAME_RE.match(parts[1].strip()):
-            skipped += 1
-            continue
-        path, name = parts[0].strip(), parts[1].strip()
+    for path, name in filter(None, records):
         names = by_file.setdefault(path, [])
         if name not in names:
             names.append(name)
-    return by_file, skipped
+    return by_file, records.count(())
 
 
 def build_function_component_map(
@@ -263,7 +265,7 @@ def mine_tree(
     for rel in file_map:
         if Path(rel).suffix not in SOURCE_SUFFIXES:
             continue
-        names, skipped = scan_declarations((root / rel).read_text())
+        names, skipped = scan_declarations(read_text(root / rel))
         report.skipped_lines += skipped
         if names:
             functions_by_file[rel] = names
@@ -308,12 +310,14 @@ def load_component_map(text: str, path: str = "component map") -> ComponentMap:
     Raises ``MalformedMap`` naming ``path`` and the line when a line has no
     tab, an empty side, or a component holding a tab.
     """
-    function_map: dict[str, str] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        name, _, component = line.partition("\t")
-        if not (name and component) or "\t" in component:
-            raise MalformedMap(f"{path}:{number}: {line!r} is not function<TAB>component")
-        function_map[name] = component
-    return ComponentMap(function_map)
+    entries = parse_lines(text, path, _map_entry, MalformedMap)
+    return ComponentMap(dict(entry for _, entry in entries))
+
+
+def _map_entry(line: str) -> tuple[str, str] | None:
+    if not line.strip() or line.startswith("#"):
+        return None
+    name, _, component = line.partition("\t")
+    if not (name and component) or "\t" in component:
+        raise ValueError(f"{line!r} is not function<TAB>component")
+    return name, component

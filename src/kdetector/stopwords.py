@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dump_parser import CrashDump, StackFrame
-from .errors import EmptyCorpus, MalformedFile
+from .errors import EmptyCorpus, parse_lines
 
 
 @dataclass
@@ -81,17 +81,16 @@ def parse_stop_words(text: str, path: str = "stop list") -> StopWordList:
     negative cutoff, raises ``MalformedFile`` naming ``path`` and the line."""
     cutoff = 0
     entries: list[tuple[str, float]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        try:
-            if line.startswith("#cutoff:"):
-                cutoff = int(line.split(":", 1)[1].strip())
-                if cutoff < 0:
-                    raise ValueError(f"cutoff {cutoff} is negative")
-                continue
-            if not line.strip() or line.startswith("#"):
-                continue
+
+    def read(line: str) -> None:
+        nonlocal cutoff
+        if line.startswith("#cutoff:"):
+            cutoff = int(line.split(":", 1)[1].strip())
+            if cutoff < 0:
+                raise ValueError(f"cutoff {cutoff} is negative")
+        elif line.strip() and not line.startswith("#"):
             name, _, score = line.partition("\t")
             entries.append((name, float(score)))
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{number}: {exc}") from None
+
+    parse_lines(text, path, read)
     return StopWordList(entries, min(cutoff, len(entries)))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import FailureRecord, record_to_json
+from .errors import TooFewStacks
 from .trainer import (
     LabeledPair,
     build_groups,
@@ -214,7 +215,7 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
             bases.append(base)
             repeats = 0
         elif (repeats := repeats + 1) == MAX_REPEAT_DRAWS:
-            raise ValueError(
+            raise TooFewStacks(
                 f"{repeats} draws in a row repeated a base stack; too few for {spec.groups} groups"
             )
 
@@ -271,16 +272,16 @@ def write_corpus(corpus: SynthCorpus, out_dir: Path | str) -> None:
     for rel, text in corpus.src_files.items():
         path = out / "src" / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         os.utime(path, (stamp, stamp))
     (out / "dumps").mkdir(parents=True, exist_ok=True)
     for dump_id, text in corpus.dump_texts.items():
-        (out / "dumps" / f"{dump_id}.dump").write_text(text)
-    with (out / "bugs.ndjson").open("w") as fh:
+        (out / "dumps" / f"{dump_id}.dump").write_text(text, encoding="utf-8")
+    with (out / "bugs.ndjson").open("w", encoding="utf-8") as fh:
         for record in corpus.records:
             fh.write(record_to_json(record) + "\n")
     truth_lines = [f"{dump_id}\t{group}" for dump_id, group in corpus.truth.items()]
-    (out / "truth.tsv").write_text("\n".join(truth_lines) + "\n")
-    (out / "pairs.tsv").write_text(format_pairs(corpus.pairs))
-    (out / "pairs_train.tsv").write_text(format_pairs(corpus.pairs_train))
-    (out / "pairs_test.tsv").write_text(format_pairs(corpus.pairs_test))
+    (out / "truth.tsv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+    (out / "pairs.tsv").write_text(format_pairs(corpus.pairs), encoding="utf-8")
+    (out / "pairs_train.tsv").write_text(format_pairs(corpus.pairs_train), encoding="utf-8")
+    (out / "pairs_test.tsv").write_text(format_pairs(corpus.pairs_test), encoding="utf-8")

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .detector import FailureRecord
 from .dump_parser import StackFrame
-from .errors import DegenerateSet, MalformedFile
+from .errors import DegenerateSet, MalformedFile, parse_lines
 from .knowledge_miner import ComponentMap
 from .sequencer import ComponentSequence, to_component_sequence
 from .similarity import (
@@ -443,18 +443,16 @@ def format_pairs(pairs: Sequence[LabeledPair]) -> str:
 def parse_pairs(text: str, path: str = "pairs") -> list[LabeledPair]:
     """Read a pairs file back; a bad line raises ``MalformedFile`` naming
     ``path`` and the line."""
-    pairs = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        try:
-            if len(fields) != 3:
-                raise ValueError(f"{line!r} is not dump_id_a<TAB>dump_id_b<TAB>label")
-            pairs.append(LabeledPair(*fields))
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{number}: {exc}") from None
-    return pairs
+    return [pair for _, pair in parse_lines(text, path, _pair)]
+
+
+def _pair(line: str) -> LabeledPair | None:
+    if not line.strip() or line.startswith("#"):
+        return None
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"{line!r} is not dump_id_a<TAB>dump_id_b<TAB>label")
+    return LabeledPair(*fields)
 
 
 def format_params(params: ModelParams) -> str:
@@ -465,24 +463,21 @@ def parse_params(text: str, path: str = "params") -> ModelParams:
     """Read a params file back; a value that is not a number, out of range
     or missing raises ``MalformedFile`` naming ``path`` and the last line
     read that holds fields."""
-    fields: dict[str, float] = {}
-    where = path
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        where = f"{path}:{number}"
-        for token in line.split():
-            key, _, value = token.partition("=")
-            try:
-                fields[key] = float(value)
-            except ValueError as exc:
-                raise MalformedFile(f"{where}: {exc}") from None
+    parsed = parse_lines(text, path, _param_fields)
+    where = f"{path}:{parsed[-1][0]}" if parsed else path
+    fields = {key: value for _, line_fields in parsed for key, value in line_fields.items()}
     try:
         return ModelParams(fields["m"], fields["n"], fields.get("threshold", 0.5))
     except KeyError as exc:
         raise MalformedFile(f"{where}: no {exc.args[0]}= value") from None
     except ValueError as exc:
         raise MalformedFile(f"{where}: {exc}") from None
+
+
+def _param_fields(line: str) -> dict[str, float] | None:
+    if not line.strip() or line.startswith("#"):
+        return None
+    return {key: float(value) for key, _, value in (token.partition("=") for token in line.split())}
 
 
 def format_grid_report(result: TuningResult) -> str:

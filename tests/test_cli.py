@@ -285,17 +285,86 @@ def test_synth_spec_with_too_few_distinct_stacks_is_data_error(tmp_path, capsys)
         ({"last_k": 2.5}, ["detect", "corpus/dumps/d000_0.dump"]),
         ({"groups": None}, ["synth", "--out", "corpus"]),  # null unsets only a window bound
         ({"map": None}, ["detect", "corpus/dumps/d000_0.dump"]),
+        # a path option takes a string the file system can take
+        ({"store": 7}, ["ingest", "corpus/dumps/d000_0.dump"]),
+        ({"map": ["a"]}, ["ingest", "corpus/dumps/d000_0.dump"]),
+        ({"store": "a\u0000b"}, ["ingest", "corpus/dumps/d000_0.dump"]),
+        ({"store": "\ud800"}, ["ingest", "corpus/dumps/d000_0.dump"]),
     ],
 )
 def test_bad_config_is_usage_error(workspace, capsys, monkeypatch, config, argv):
     monkeypatch.chdir(workspace)
     (workspace / "params.txt").write_text("#version 1\nm=1.0 n=1.0 threshold=0.5\n")
     (workspace / "config.json").write_text(json.dumps(config))
-    common = [*pipeline_args(workspace), "--params", "params.txt"] if argv[0] == "detect" else []
+    common = pipeline_args(workspace) if argv[0] in ("detect", "ingest") else []
+    if argv[0] == "detect":
+        common += ["--params", "params.txt"]
     code, out, err = run(capsys, "--config", "config.json", *argv, *common)
     assert code == 1
     assert err.startswith("usage error: ") and out == ""
     assert not (workspace / "store").exists()
+    assert sorted(p.name for p in workspace.iterdir()) == [
+        "config.json", "corpus", "map.tsv", "params.txt", "stop.tsv"]
+
+
+@pytest.mark.parametrize("bad", ["a\0b", "\ud800"])
+@pytest.mark.parametrize("flag", ["--store", "--map", "--config"])
+def test_a_path_no_file_system_can_take_is_usage_error(workspace, capsys, flag, bad):
+    """A NUL or a lone surrogate in any argument fails before a file is
+    opened or made."""
+    argv = ["ingest", workspace / "corpus" / "dumps" / "d000_0.dump", *pipeline_args(workspace),
+            "--store", workspace / "store"]
+    argv = [flag, bad, *argv] if flag == "--config" else [*argv, flag, bad]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not (workspace / "store").exists()
+
+
+def test_negative_stopwords_cutoff_is_usage_error(workspace, capsys):
+    code, out, err = run(
+        capsys, "stopwords", workspace / "corpus" / "dumps", "--out", workspace / "stop2.tsv",
+        "--cutoff", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --cutoff: must be at least 0, got -1\n"
+    assert not (workspace / "stop2.tsv").exists()
+
+
+def test_mine_of_a_manifest_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
+    (tmp_path / "src").mkdir()
+    manifest = tmp_path / "src" / "CMakeLists.txt"
+    manifest.write_bytes(b'SET_COMPONENT("\xff")\n')
+    code, out, err = run(capsys, "mine", tmp_path / "src", "--out", tmp_path / "map.tsv")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {manifest}: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "map.tsv").exists()
+
+
+def test_inputs_are_utf8_whatever_the_locale(workspace):
+    """Under the C locale with UTF-8 mode off, a dump with a non-ASCII
+    header ingests and a manifest declaring a non-ASCII component mines."""
+    dump = workspace / "accent.dump"
+    text = (workspace / "corpus" / "dumps" / "d000_0.dump").read_text(encoding="utf-8")
+    dump.write_text(text.replace("[HEADER]\n", "[HEADER]\nproduct: caf\u00e9\n", 1),
+                    encoding="utf-8")
+    tree = workspace / "accent-src"
+    tree.mkdir()
+    (tree / "CMakeLists.txt").write_text('SET_COMPONENT("\u00dcn\u00ef")\n', encoding="utf-8")
+    (tree / "a.cpp").write_text("fn app::A::f1\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONUTF8", "PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for argv in (["ingest", dump, *pipeline_args(workspace), "--store", workspace / "store"],
+                 ["mine", tree, "--out", workspace / "accent-map.tsv"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "kdetector.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+        assert done.returncode == 0, done.stderr
+    assert "app::A::f1\t\u00dcn\u00ef\n" in (workspace / "accent-map.tsv").read_text(encoding="utf-8")
 
 
 def test_numeric_config_values_still_apply(workspace, capsys, monkeypatch):
@@ -419,7 +488,7 @@ def test_stopwords_skips_a_dump_that_is_not_utf8(workspace, capsys):
     code, out, err = run(capsys, "stopwords", dumps, "--out", workspace / "stop2.tsv", "--cutoff", "2")
     assert code == 0
     assert out.startswith("entries=")
-    assert err.startswith("warning: skipping zz_bad.dump: 'utf-8' codec can't decode")
+    assert err.startswith(f"warning: skipping {dumps / 'zz_bad.dump'}: 'utf-8' codec can't decode")
     assert (workspace / "stop2.tsv").read_text() == (workspace / "stop.tsv").read_text()
 
 
@@ -431,7 +500,7 @@ def test_stopwords_skips_a_dump_whose_frame_index_is_too_long(workspace, capsys)
     )
     assert code == 0
     assert out.startswith("entries=")
-    assert err.startswith("warning: skipping zz_huge.dump: Exceeds the limit")
+    assert err.startswith(f"warning: skipping {dumps / 'zz_huge.dump'}: Exceeds the limit")
     assert (workspace / "stop2.tsv").read_text() == (workspace / "stop.tsv").read_text()
 
 

@@ -1,14 +1,16 @@
 """Exit-code contract of the CLI on malformed inputs. A valid dump mutated
 by bytes or by lines either triages (0) or is a data error (2). A valid
-component map, stop list, params file, labeled-pairs file or ``--config``
-file mutated the same way exits 0, 1 or 2 with no traceback. No exception
-escapes ``main``, and a read-only ``detect`` writes nothing to the store."""
+component map, stop list, params file, labeled-pairs file, ``--config``
+file, or a store's ``bugs.ndjson`` or ``sequences.log``, mutated the same
+way exits 0, 1 or 2 with no traceback. No exception escapes ``main``, and
+a read-only ``detect`` writes nothing to the store."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -48,6 +50,14 @@ CONFIG_POOL = [
     "{", "}", '"window_days": 1e400,', '"window_days": NaN,', '"last_k": -1,', '"last_k": true,',
     '"map": null,', '"store": 7,', '"params": "",', "null", "[]", '"store": "\\u0000",',
 ]
+RECORD_POOL = [
+    '{"bug_id": 1}', "{}", "null", "[]", "", " ", '{"bug_id": 1, "dump_id": "x"',
+    '{"bug_id": 9, "dump_id": "d9", "resolution": "", "creation_time": "2026-01-01T00:00:00+00:00",'
+    ' "dupe_of": 1001, "top_component": "A", "dump_path": ""}',
+    '{"bug_id": 1e400, "dump_id": "d9", "creation_time": "2026-01-01T00:00:00Z", "dupe_of": null}',
+    '{"bug_id": true, "dump_id": 5, "creation_time": "9999-12-31T23:59:59-23:59"}',
+]
+LOG_POOL = ["1001", "1002", "", "Comp\tapp::f", "\t", "Comp\t", "Comp\ta\tb", "x y", "99999", "-1"]
 # bytes that a byte mutation of those formats may insert
 TOKENS = ["\t", "\n", "\x00", "\ufeff", "é", "1e400", "nan", "null", "-1", "=", "#"]
 
@@ -140,13 +150,14 @@ def _store_files(root) -> list:
 
 def _assert_contract(mutate, valid: bytes, pool, argv, target, store_root=None) -> None:
     """Run argv on each mutation of valid written to target: exit 0, 1 or 2,
-    no traceback, and with store_root, a store left byte-identical."""
-    before = store_root and _store_files(store_root)
+    no traceback, and with store_root, a store left byte-identical (with
+    the mutated file, when the target is in it)."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutate(valid, pool))
     def check(data):
         target.write_bytes(data)
+        before = store_root and _store_files(store_root)
         code, err = run(*argv)
         assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
         if store_root:
@@ -213,3 +224,14 @@ def test_detect_with_a_mutated_config_exits_zero_one_or_two(small_store, tmp_pat
     valid = json.dumps(config, indent=1)
     _assert_contract(mutate, valid.encode(), CONFIG_POOL, ["--config", target, "detect", dump],
                      target, root)
+
+
+@pytest.mark.parametrize("name,pool", [("bugs.ndjson", RECORD_POOL), ("sequences.log", LOG_POOL)])
+@MUTATIONS
+def test_detect_on_a_mutated_store_exits_zero_one_or_two(small_store, tmp_path, mutate, name, pool):
+    """A read-only detect on a copy of the store with one file mutated."""
+    root, dump, options = small_store
+    shutil.copytree(root / "store", tmp_path / "store")
+    target = tmp_path / "store" / name
+    argv = ["detect", dump, *_with(options, "--store", tmp_path / "store")]
+    _assert_contract(mutate, target.read_bytes(), pool, argv, target, tmp_path)

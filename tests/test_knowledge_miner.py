@@ -64,14 +64,20 @@ class TestManifestParsing:
             parse_manifest('SET_COMPONENT("A"')
 
     # a tab, and every line break str.splitlines splits on
-    @pytest.mark.parametrize(
-        "brk", ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-                "\u2028", "\u2029"],
-    )
+    BREAKS = ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("brk", BREAKS)
     def test_component_name_with_a_tab_or_line_break_errors_with_location(self, brk):
         with pytest.raises(ManifestSyntaxError, match="holds a tab or a line break") as err:
             parse_manifest(f'\nSET_COMPONENT("Alpha{brk}Beta" a.cpp)\n', "dir/CMakeLists.txt")
         assert (err.value.path, err.value.line) == ("dir/CMakeLists.txt", 2)
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_only_a_newline_in_a_comment_moves_a_line_number(self, brk):
+        with pytest.raises(ManifestSyntaxError, match="unclosed") as err:
+            parse_manifest(f'# note{brk} more\nSET_COMPONENT("A"\n', "M")
+        assert str(err.value).startswith(f"M:{2 + brk.count(chr(10))}: ")
 
     def test_directive_inside_comment_ignored(self):
         manifest = parse_manifest('# SET_COMPONENT("Ghost")\nSET_COMPONENT("Real")\n')

@@ -290,6 +290,42 @@ def test_an_invalid_line_inside_the_covered_range_is_named(tmp_path):
     assert (code, out) == (2, "") and "bugs.ndjson:5: dupe_of True" in err
 
 
+@pytest.mark.parametrize("line", [2, 15])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, line):
+    """Inside the covered range, where the checkpoint does not verify, and
+    past it, a bad byte is a MalformedRecord naming the line it is on."""
+    root = tmp_path / "store"
+    _build(root)
+    path = root / "bugs.ndjson"
+    if line > 12:
+        FailureStore(root).append(FailureRecord(40, "d40", "", EPOCH, None, "CompA"), _sequence("d40"))
+        path.write_bytes(path.read_bytes() + b"\n")  # a blank line 14
+        FailureStore(root).append(FailureRecord(41, "d41", "", EPOCH, None, "CompA"), _sequence("d41"))
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1].replace(b'"CompA"', b'"Comp\xe9"')
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(MalformedRecord, match=rf"bugs\.ndjson:{line}: not UTF-8 \(invalid"):
+        FailureStore(root)
+    code, out, err = _detect(tmp_path, root)
+    assert (code, out) == (2, "") and f"bugs.ndjson:{line}: not UTF-8" in err
+
+
+def test_a_covered_range_that_is_not_utf8_opens_in_full(tmp_path):
+    """A checkpoint resealed over a covered range holding a bad byte is not
+    used; the full open names the line."""
+    root = tmp_path / "store"
+    _build(root)
+    path = root / "bugs.ndjson"
+    data = path.read_bytes().replace(b'"CompA"', b'"Comp\xe9"', 1)
+    path.write_bytes(data)
+    payload = json.loads((root / CHECKPOINT).read_bytes().partition(b"\n")[2])
+    sha = hashlib.sha256(data[:payload["length"]]).hexdigest()
+    (root / CHECKPOINT).write_bytes(_resealed({**payload, "sha256": sha}))
+    with pytest.raises(MalformedRecord, match=r"bugs\.ndjson:1: not UTF-8 \(invalid"):
+        FailureStore(root)
+    _assert_opens_like_a_full_open(root)
+
+
 @functools.lru_cache(maxsize=1)
 def _built_store() -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
